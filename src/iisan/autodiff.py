@@ -131,15 +131,8 @@ class Tape:
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], back) -> None:
         self.entries.append(TapeEntry(out, inputs, back, self.current_scope()))
 
-    def entries_in_scope(self, prefix: str) -> list[TapeEntry]:
-        return [e for e in self.entries if e.scope.startswith(prefix)]
-
 
 _ACTIVE: Tape | None = None
-
-
-def active_tape() -> Tape | None:
-    return _ACTIVE
 
 
 @contextlib.contextmanager
@@ -420,25 +413,6 @@ def masked_softmax_ce(logits: Tensor, allowed: np.ndarray, positives: np.ndarray
     return _emit(out, (logits,), back)
 
 
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "sigmoid": sigmoid,
-    "gelu": gelu,
-    "layernorm": layernorm,
-}
-
-
-def elementwise(op: str, *inputs):
-    """Dispatch by name; the set of supported names is fixed."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ContractError(f"elementwise: unknown op {op!r}") from None
-    return fn(*inputs)
-
-
 # ---------------------------------------------------------------------------
 # backward and verification
 # ---------------------------------------------------------------------------
@@ -498,11 +472,6 @@ class FdReport:
     @property
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
-
-
-def _trainable_params(model) -> list[Parameter]:
-    params = model if isinstance(model, (list, tuple)) else model.parameters()
-    return [p for p in params if p.trainable]
 
 
 def finite_difference_check(model, loss_fn, step: float = 1e-3,

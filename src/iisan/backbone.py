@@ -4,15 +4,14 @@ An encoder is built deterministically from its config seed: an embedding
 stage (token + position tables) followed by pre-norm bidirectional blocks
 with a 4x gelu MLP. Encoding an item pools every stage output at position 0,
 yielding L+1 vectors of width H - the unit that gets cached and consumed by
-the side towers. Real backbone exports can replace synthetic encoders via
-`import_hidden_states`, which reads the cache file format.
+the side towers.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,10 +95,6 @@ class FrozenEncoder:
         return out
 
 
-def build_encoder(cfg: EncoderConfig, trainable: bool = False, dtype=np.float32) -> FrozenEncoder:
-    return FrozenEncoder(cfg, trainable=trainable, dtype=dtype)
-
-
 def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
     ids = np.asarray(list(tokens), dtype=np.int64)
     if ids.size == 0:
@@ -150,10 +145,3 @@ def item_tokens(cfg: EncoderConfig, item_id: int) -> list[int]:
         int.from_bytes(digest[2 * i:2 * i + 2], "little") % cfg.vocab_or_patch_count
         for i in range(length)
     ]
-
-
-def import_hidden_states(path) -> Iterator[HiddenStateStack]:
-    """Stream stacks from a cache file in file order; fingerprint from the header."""
-    from . import cache
-
-    yield from cache.iter_stacks(path)

@@ -22,7 +22,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,9 +118,10 @@ def build_cache(encoder: FrozenEncoder, items: Sequence[int], keep_layers: Seque
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly n bytes of a binary file, or raise FormatError at the end of the data."""
     data = f.read(n)
     if len(data) != n:
-        raise FormatError(f"truncated cache file while reading {what}", offset=f.tell())
+        raise FormatError(f"truncated file while reading {what}", offset=f.tell())
     return data
 
 
@@ -173,32 +174,6 @@ class CacheStore:
         return HiddenStateStack(item_id=int(item_id),
                                 encoder_fingerprint=self.header.encoder_fingerprint,
                                 states=payload)
-
-
-def read_item(store, item_id: int, expected_fingerprint: int | None = None) -> HiddenStateStack:
-    """Read one pruned stack from an open store or a path."""
-    if not isinstance(store, CacheStore):
-        store = CacheStore(store, expected_fingerprint)
-    elif expected_fingerprint is not None and expected_fingerprint != store.header.encoder_fingerprint:
-        raise StalenessError(
-            f"cache {store.path} fingerprint {store.header.encoder_fingerprint:#x} "
-            f"does not match expected {expected_fingerprint:#x}")
-    return store.read_item(item_id)
-
-
-def iter_stacks(path) -> Iterator[HiddenStateStack]:
-    """Yield stacks in file order, validating the format as it goes."""
-    with open(path, "rb") as f:
-        header = read_header(f)
-        rec = record_size(header.kept_count, header.hidden_dim)
-        for _ in range(header.item_count):
-            raw = _read_exact(f, rec, "record")
-            (item_id,) = struct.unpack_from("<Q", raw)
-            payload = np.frombuffer(raw, dtype="<f4", offset=8).reshape(
-                header.kept_count, header.hidden_dim).astype(np.float32)
-            yield HiddenStateStack(item_id=item_id,
-                                   encoder_fingerprint=header.encoder_fingerprint,
-                                   states=payload)
 
 
 @dataclass

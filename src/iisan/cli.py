@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import costmodel, recsys
-from .backbone import EncoderConfig, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, build_encoder
+from .backbone import EncoderConfig, FrozenEncoder, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT
 from .cache import CacheStore, build_cache, verify_cache
 from .errors import ConfigError, IisanError, InputError, StalenessError
-from .sanet import (MODE_ASYM_EVEN_ALL, MODE_SYMMETRIC_EVEN, MODES, select_layers)
+from .sanet import MODES, LayerDropPlan, plans_for
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,22 +73,16 @@ class RunConfig:
     profile_batch: int = 32
 
 
-_KEYS = {
-    "variant": "variant", "seed": "seed", "regime": "regime", "out": "out",
-    "data": "data", "cache_dir": "cache_dir", "checkpoint": "checkpoint",
-    "text.layers": "text_layers", "text.hidden": "text_hidden", "text.vocab": "text_vocab",
-    "text.max_positions": "text_max_positions", "text.seed": "text_seed", "text.mode": "text_mode",
-    "image.layers": "image_layers", "image.hidden": "image_hidden", "image.vocab": "image_vocab",
-    "image.max_positions": "image_max_positions", "image.seed": "image_seed",
-    "san.bottleneck": "san_bottleneck",
-    "seq.dim": "seq_dim", "seq.blocks": "seq_blocks", "seq.heads": "seq_heads",
-    "seq.max_len": "seq_max_len",
-    "train.batch": "train_batch", "train.lr": "train_lr", "train.epochs": "train_epochs",
-    "train.dropout": "train_dropout",
-    "gen.users": "gen_users", "gen.items": "gen_items", "gen.strength": "gen_strength",
-    "gen.min_len": "gen_min_len", "gen.max_len": "gen_max_len",
-    "profile.batch": "profile_batch",
-}
+_SECTIONS = ("text", "image", "san", "seq", "train", "gen", "profile")
+
+
+def _key(field_name: str) -> str:
+    """Config key of a RunConfig field: `text_max_positions` -> `text.max_positions`."""
+    section, _, rest = field_name.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else field_name
+
+
+_KEYS = {_key(f.name): f.name for f in fields(RunConfig)}
 _FIELD_TO_KEY = {v: k for k, v in _KEYS.items()}
 
 
@@ -220,16 +214,6 @@ def encoder_configs(cfg: RunConfig) -> tuple[EncoderConfig, EncoderConfig]:
     return text, image
 
 
-def plans(cfg: RunConfig):
-    image_plan = select_layers(MODE_SYMMETRIC_EVEN, cfg.image_layers)
-    if cfg.variant == "vs":
-        text_plan = select_layers(MODE_SYMMETRIC_EVEN, cfg.text_layers)
-    else:
-        text_plan = select_layers(cfg.text_mode or MODE_ASYM_EVEN_ALL,
-                                  cfg.text_layers, cfg.image_layers)
-    return text_plan, image_plan
-
-
 def _cache_paths(cfg: RunConfig) -> tuple[Path, Path]:
     d = Path(cfg.cache_dir)
     return d / "text.iisc", d / "image.iisc"
@@ -238,16 +222,16 @@ def _cache_paths(cfg: RunConfig) -> tuple[Path, Path]:
 def _build_rec_model(cfg: RunConfig) -> recsys.RecModel:
     return recsys.build_rec_model(
         cfg.variant, cfg.text_layers, cfg.text_hidden, cfg.image_layers, cfg.image_hidden,
-        text_mode=(cfg.text_mode or None) if cfg.variant == "va" else None,
+        text_mode=cfg.text_mode,
         bottleneck=cfg.san_bottleneck, dseq=cfg.seq_dim, seq_blocks=cfg.seq_blocks,
         seq_heads=cfg.seq_heads, max_seq_len=cfg.seq_max_len, seed=cfg.seed)
 
 
-def _provider(cfg: RunConfig):
+def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPlan):
+    """Item states for the plans of the model being trained or evaluated."""
     text_cfg, image_cfg = encoder_configs(cfg)
-    text_plan, image_plan = plans(cfg)
-    text_enc = build_encoder(text_cfg)
-    image_enc = build_encoder(image_cfg)
+    text_enc = FrozenEncoder(text_cfg)
+    image_enc = FrozenEncoder(image_cfg)
     if cfg.regime == costmodel.DPEFT_UNCACHED:
         return recsys.EncodeStateProvider(text_enc, image_enc, text_plan, image_plan)
     text_path, image_path = _cache_paths(cfg)
@@ -277,12 +261,12 @@ def cmd_cache(cfg: RunConfig) -> int:
     _echo(cfg)
     dataset = recsys.load_interactions(cfg.data)
     text_cfg, image_cfg = encoder_configs(cfg)
-    text_plan, image_plan = plans(cfg)
+    text_plan, image_plan = plans_for(cfg.variant, cfg.text_layers, cfg.image_layers, cfg.text_mode)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
     text_path, image_path = _cache_paths(cfg)
     for enc_cfg, plan, path in ((text_cfg, text_plan, text_path),
                                 (image_cfg, image_plan, image_path)):
-        encoder = build_encoder(enc_cfg)
+        encoder = FrozenEncoder(enc_cfg)
         summary = build_cache(encoder, list(dataset.catalog), plan.cache_layers(), path)
         report = verify_cache(path)
         if not report.ok:
@@ -299,8 +283,8 @@ def cmd_train(cfg: RunConfig) -> int:
     dataset = recsys.load_interactions(cfg.data)
     split = recsys.split_leave_one_out(dataset)
     popularity = recsys.compute_popularity(split)
-    provider = _provider(cfg)
     rec = _build_rec_model(cfg)
+    provider = _provider(cfg, rec.iisan.text_plan, rec.iisan.image_plan)
     tc = recsys.TrainConfig(lr=cfg.train_lr, batch_size=cfg.train_batch,
                             epochs=cfg.train_epochs, dropout=cfg.train_dropout,
                             seed=cfg.seed, max_seq_len=cfg.seq_max_len)
@@ -326,9 +310,9 @@ def cmd_eval(cfg: RunConfig, baseline: bool = False) -> int:
     rec = recsys.load_rec_checkpoint(cfg.checkpoint)
     dataset = recsys.load_interactions(cfg.data)
     split = recsys.split_leave_one_out(dataset)
-    provider = _provider(cfg)
-    tc = recsys.TrainConfig(max_seq_len=cfg.seq_max_len)
-    report = recsys.evaluate(rec, split, provider, tc)
+    # plans and window come from the checkpoint; the provider checks them against the encoders
+    provider = _provider(cfg, rec.iisan.text_plan, rec.iisan.image_plan)
+    report = recsys.evaluate(rec, split, provider)
     print(f"EVAL users={report.evaluated_user_count} dropped={split.dropped_users}")
     print(report.machine_line())
     if baseline:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Parameter, Tape, Tensor
-from .backbone import EncoderConfig, FrozenEncoder, build_encoder, encode_item_graph, item_tokens
+from .backbone import EncoderConfig, FrozenEncoder, encode_item_graph, item_tokens
 from .cache import cache_file_size
 from .errors import ConfigError, ContractError
 from .layers import Linear
@@ -404,8 +404,8 @@ def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> Prob
     cfg = TrainConfig(lr=1e-3, batch_size=len(users), epochs=1, dropout=0.0, seed=0, max_seq_len=6)
 
     fft = regime == FFT
-    text_enc = build_encoder(setup.text_cfg, trainable=fft)
-    image_enc = build_encoder(setup.image_cfg, trainable=fft)
+    text_enc = FrozenEncoder(setup.text_cfg, trainable=fft)
+    image_enc = FrozenEncoder(setup.image_cfg, trainable=fft)
     backbone_params = text_enc.parameters() + image_enc.parameters()
     backbone_names = {p.name for p in backbone_params}
     snapshot = {p.name: p.data.copy() for p in backbone_params}

@@ -1,8 +1,9 @@
 """Parameterized layers shared by the frozen backbones and the sequential encoder.
 
 Layers hold Parameters and compose engine operations; they carry no state
-beyond their weights, so forward calls are safe to run concurrently once
-construction is done.
+beyond their weights. Forward calls are still not safe to run concurrently:
+the tape they record onto is a module global in `autodiff`, so operations on
+another thread land on whichever tape is active.
 """
 
 from __future__ import annotations

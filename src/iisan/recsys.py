@@ -12,8 +12,8 @@ catalog with pessimistic tie-breaking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+import struct
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,10 +21,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Parameter, Tape, Tensor
 from .backbone import FrozenEncoder, encode_item, item_tokens
-from .cache import CacheStore
-from .errors import ConfigError, ContractError, InputError, StalenessError
-from .layers import TransformerBlock, causal_mask, dropout
-from .sanet import CheckpointMeta, IisanModel, LayerDropPlan, assign_parameters, read_checkpoint, save_checkpoint
+from .cache import CacheStore, _read_exact
+from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
+from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
+from .sanet import MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class SeqEncoder:
         self.pos_table = Parameter(Tensor(pos), "seq.positions")
         self.blocks = [TransformerBlock(dim, heads, f"seq.block{i + 1}", rng, dtype=dtype)
                        for i in range(blocks)]
-        self.ln_out = _SeqLayerNorm(dim, dtype)
+        self.ln_out = LayerNorm(dim, "seq.ln_out", dtype=dtype)
 
     def states(self, item_embs: Tensor, drop=None) -> Tensor:
         """Per-position states for a (s, dim) embedded sequence, causal."""
@@ -154,39 +154,6 @@ class SeqEncoder:
             out.extend(b.parameters())
         out.extend(self.ln_out.parameters())
         return out
-
-
-class _SeqLayerNorm:
-    def __init__(self, dim: int, dtype):
-        self.gain = Parameter(Tensor(np.ones(dim, dtype=dtype)), "seq.ln_out.gain")
-        self.offset = Parameter(Tensor(np.zeros(dim, dtype=dtype)), "seq.ln_out.offset")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layernorm(x, self.gain.tensor, self.offset.tensor)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.offset]
-
-
-def seq_forward(encoder: SeqEncoder, item_embs: Tensor, drop=None) -> Tensor:
-    """User state: final-position output, truncating long inputs from the left."""
-    s = item_embs.shape[0]
-    if s == 0:
-        raise InputError("empty item sequence")
-    if s > encoder.max_seq_len:
-        item_embs = ad.take_rows(item_embs, np.arange(s - encoder.max_seq_len, s))
-        s = encoder.max_seq_len
-    states = encoder.states(item_embs, drop)
-    return ad.take_rows(states, [s - 1])
-
-
-def score(user_state, item_embedding) -> float:
-    """Dot product of a user state and one item embedding."""
-    u = np.asarray(user_state.data if isinstance(user_state, Tensor) else user_state).reshape(-1)
-    v = np.asarray(item_embedding.data if isinstance(item_embedding, Tensor) else item_embedding).reshape(-1)
-    if u.shape != v.shape:
-        raise ContractError(f"score: lengths differ, {u.shape} vs {v.shape}")
-    return float(u @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +222,11 @@ class EncodeStateProvider:
 
     def __init__(self, text_encoder: FrozenEncoder, image_encoder: FrozenEncoder,
                  text_plan: LayerDropPlan, image_plan: LayerDropPlan):
+        for enc, plan in ((text_encoder, text_plan), (image_encoder, image_plan)):
+            if plan.source_layers != enc.cfg.layers:
+                raise StalenessError(
+                    f"{enc.cfg.modality} plan was derived for {plan.source_layers} layers, "
+                    f"the encoder has {enc.cfg.layers}")
         self.text_encoder = text_encoder
         self.image_encoder = image_encoder
         self.text_layers = list(text_plan.cache_layers())
@@ -435,12 +407,12 @@ def metrics_from_scores(score_rows: Iterable[tuple[np.ndarray, int]], cutoff: in
     return MetricReport(float(np.mean(hrs)), float(np.mean(ndcgs)), len(hrs))
 
 
-def evaluate(rec: RecModel, split: Split, provider, cfg: TrainConfig,
-             target: str = "test") -> MetricReport:
+def evaluate(rec: RecModel, split: Split, provider, target: str = "test") -> MetricReport:
     """Full-catalog ranking of each user's held-out item.
 
     Scoring the test item includes the validation item in the user prefix;
-    scoring the validation item uses the train prefix alone.
+    scoring the validation item uses the train prefix alone. Prefixes are cut
+    to the model's own window, `rec.seq.max_seq_len`.
     """
     if target not in ("test", "val"):
         raise ConfigError(f"unknown evaluation target {target!r}")
@@ -460,7 +432,7 @@ def evaluate(rec: RecModel, split: Split, provider, cfg: TrainConfig,
     def rows():
         for u in sorted(targets):
             prefix = split.train[u] + ([split.val[u]] if target == "test" else [])
-            window = prefix[-cfg.max_seq_len:]
+            window = prefix[-rec.seq.max_seq_len:]
             embs = Tensor(item_matrix[[col[v] for v in window]])
             state = rec.seq.states(embs).data[-1]
             yield item_matrix @ state, col[targets[u]]
@@ -472,15 +444,11 @@ def popularity_baseline(split: Split, popularity: Mapping[int, float],
                         target: str = "test") -> MetricReport:
     """Rank the catalog by popularity (ties broken by item id) for every user."""
     catalog = sorted(split.catalog, key=lambda item: (-popularity[item], item))
-    rank_of = {item: r for r, item in enumerate(catalog, start=1)}
+    col = {item: c for c, item in enumerate(catalog)}
+    # minus the position: scores are unique, so the pessimistic rank is the position
+    scores = -np.arange(len(catalog), dtype=np.float64)
     targets = split.test if target == "test" else split.val
-    hrs = []
-    ndcgs = []
-    for u in sorted(targets):
-        rank = rank_of[targets[u]]
-        hrs.append(1.0 if rank <= 10 else 0.0)
-        ndcgs.append(1.0 / math.log2(rank + 1) if rank <= 10 else 0.0)
-    return MetricReport(float(np.mean(hrs)), float(np.mean(ndcgs)), len(hrs))
+    return metrics_from_scores((scores, col[targets[u]]) for u in sorted(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +459,6 @@ def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers:
                     image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
                     dseq: int = 64, seq_blocks: int = 2, seq_heads: int = 2,
                     max_seq_len: int = 10, seed: int = 0, dtype=np.float32) -> RecModel:
-    from .sanet import build_model
-
     iisan = build_model(variant, text_layers, text_dim, image_layers, image_dim,
                         text_mode=text_mode, bottleneck=bottleneck, dseq=dseq,
                         seed=seed, dtype=dtype)
@@ -501,20 +467,78 @@ def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers:
     return RecModel(iisan, seq)
 
 
+CHECKPOINT_MAGIC = b"IISM"
+CHECKPOINT_VERSION = 1
+_VARIANTS = (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC)  # index = on-disk code
+_PLAN_HEAD = struct.Struct("<BHHH")  # mode code, source layers, m, group size (0 = none)
+_DIMS = struct.Struct("<IIIIHHH")  # text, image, bottleneck, dseq, seq blocks, heads, max_seq_len
+
+
+def _pack_plan(plan: LayerDropPlan) -> bytes:
+    body = _PLAN_HEAD.pack(MODES.index(plan.mode), plan.source_layers, plan.m, plan.group_size or 0)
+    return body + struct.pack(f"<{plan.m}H", *plan.kept_indices)
+
+
+def _unpack_plan(f) -> LayerDropPlan:
+    start = f.tell()
+    mode_code, src, m, k = _PLAN_HEAD.unpack(_read_exact(f, _PLAN_HEAD.size, "layer-drop plan"))
+    if mode_code >= len(MODES):
+        raise FormatError(f"unknown layer-drop mode code {mode_code}", offset=start)
+    kept = struct.unpack(f"<{m}H", _read_exact(f, 2 * m, "kept layer indices"))
+    return LayerDropPlan(MODES[mode_code], src, tuple(kept), group_size=k or None)
+
+
 def save_rec_checkpoint(path, rec: RecModel) -> None:
-    meta = CheckpointMeta(rec.iisan.variant, rec.iisan.text_plan, rec.iisan.image_plan,
-                          rec.iisan.text_dim, rec.iisan.image_dim, rec.iisan.bottleneck,
-                          rec.iisan.dseq, len(rec.seq.blocks), rec.seq.blocks[0].heads,
-                          rec.seq.max_seq_len)
-    save_checkpoint(path, meta, rec.parameters())
+    """IISM v1, little-endian: magic, version u16, variant u8, the text and
+    image plans, the model dimensions, then the parameter count u64 and every
+    parameter as float32 in declaration order."""
+    iisan, params = rec.iisan, rec.parameters()
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<HB", CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant)))
+        f.write(_pack_plan(iisan.text_plan))
+        f.write(_pack_plan(iisan.image_plan))
+        f.write(_DIMS.pack(iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
+                           len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len))
+        f.write(struct.pack("<Q", sum(p.data.size for p in params)))
+        for p in params:
+            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
 def load_rec_checkpoint(path, dtype=np.float32) -> RecModel:
-    meta, flat = read_checkpoint(path)
-    iisan = IisanModel(meta.variant, meta.text_plan, meta.image_plan, meta.text_dim,
-                       meta.image_dim, meta.bottleneck, meta.dseq, dtype=dtype)
-    seq = SeqEncoder(dim=meta.dseq, blocks=meta.seq_blocks, heads=meta.seq_heads,
-                     max_seq_len=meta.max_seq_len, dtype=dtype)
+    with open(path, "rb") as f:
+        magic = _read_exact(f, 4, "checkpoint magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
+        version, variant_code = struct.unpack("<HB", _read_exact(f, 3, "checkpoint version"))
+        if version != CHECKPOINT_VERSION:
+            raise VersionError(f"unsupported checkpoint version {version}", offset=4)
+        if variant_code >= len(_VARIANTS):
+            raise FormatError(f"unknown variant code {variant_code}", offset=6)
+        text_plan = _unpack_plan(f)
+        image_plan = _unpack_plan(f)
+        text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
+            _DIMS.unpack(_read_exact(f, _DIMS.size, "model dimensions"))
+        (total,) = struct.unpack("<Q", _read_exact(f, 8, "parameter count"))
+        blob = _read_exact(f, total * 4, "parameters")
+    iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
+                       image_dim, bottleneck, dseq, dtype=dtype)
+    seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
+                     max_seq_len=max_seq_len, dtype=dtype)
     rec = RecModel(iisan, seq)
-    assign_parameters(rec.parameters(), flat)
+    assign_parameters(rec.parameters(), np.frombuffer(blob, dtype="<f4").astype(np.float32))
     return rec
+
+
+def assign_parameters(params: Sequence[Parameter], flat: np.ndarray) -> None:
+    """Copy a checkpoint blob into parameters, consuming it in declaration order."""
+    offset = 0
+    for p in params:
+        n = p.data.size
+        if offset + n > flat.size:
+            raise FormatError("checkpoint has fewer values than the model expects")
+        p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(p.data.dtype)
+        p.tensor.requires_grad = p.trainable
+        offset += n
+    if offset != flat.size:
+        raise FormatError(f"checkpoint has {flat.size - offset} unconsumed values")

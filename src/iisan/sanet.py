@@ -17,16 +17,14 @@ Layer selection modes:
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import ConfigError, ContractError, FormatError, VersionError
+from .errors import ConfigError, ContractError
 from .layers import Linear
 
 MODE_SYMMETRIC_EVEN = "symmetric_even"
@@ -120,33 +118,36 @@ class GateParam:
         return [self.raw]
 
 
-class DimensionTransform:
-    """Aligns the text hidden width to the image width (asymmetric variant only)."""
-
-    def __init__(self, text_dim: int, image_dim: int, name: str, rng: np.random.Generator, dtype=np.float32):
-        self.proj = Linear(text_dim, image_dim, name, rng, dtype=dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.proj(x)
-
-    def parameters(self) -> list[Parameter]:
-        return self.proj.parameters()
-
-
 def _check_stack(states: Sequence[Tensor], m: int, who: str) -> None:
     if len(states) != m + 1:
         raise ContractError(f"{who}: expected {m + 1} stack entries (embedding + kept), got {len(states)}")
 
 
-class IntraTower:
-    """Single-modality ladder: block 1 sees the embedding state, later blocks a
-    gated mix of the previous block output and the current kept state."""
+class _Tower:
+    """m bottleneck blocks plus one scalar gate per level from `first_gate` to m."""
+
+    first_gate: int
 
     def __init__(self, dim: int, bottleneck: int, m: int, name: str,
                  rng: np.random.Generator, dtype=np.float32):
         self.m = m
         self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng, dtype) for i in range(1, m + 1)]
-        self.gates = {i: GateParam(f"{name}.gate{i}", dtype) for i in range(2, m + 1)}
+        self.gates = {i: GateParam(f"{name}.gate{i}", dtype) for i in range(self.first_gate, m + 1)}
+
+    def parameters(self) -> list[Parameter]:
+        out = []
+        for blk in self.blocks:
+            out.extend(blk.parameters())
+        for i in sorted(self.gates):
+            out.extend(self.gates[i].parameters())
+        return out
+
+
+class IntraTower(_Tower):
+    """Single-modality ladder: block 1 sees the embedding state, later blocks a
+    gated mix of the previous block output and the current kept state."""
+
+    first_gate = 2
 
     def __call__(self, states: Sequence[Tensor]) -> Tensor:
         _check_stack(states, self.m, "intra tower")
@@ -157,27 +158,15 @@ class IntraTower:
             b = self.blocks[i - 1](mixed)
         return b
 
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for blk in self.blocks:
-            out.extend(blk.parameters())
-        for i in sorted(self.gates):
-            out.extend(self.gates[i].parameters())
-        return out
 
-
-class InterTower:
+class InterTower(_Tower):
     """Cross-modality ladder: each block mixes the image state with the
     (width-aligned) text state by a gate, plus the previous block output."""
 
-    def __init__(self, dim: int, bottleneck: int, m: int, name: str,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.m = m
-        self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng, dtype) for i in range(1, m + 1)]
-        self.gates = {i: GateParam(f"{name}.gate{i}", dtype) for i in range(1, m + 1)}
+    first_gate = 1
 
     def __call__(self, text_states: Sequence[Tensor], image_states: Sequence[Tensor],
-                 dtl: Optional[DimensionTransform]) -> Tensor:
+                 dtl: Optional[Linear]) -> Tensor:
         _check_stack(text_states, self.m, "inter tower (text)")
         _check_stack(image_states, self.m, "inter tower (image)")
         aligned = [dtl(t) for t in text_states] if dtl is not None else list(text_states)
@@ -188,14 +177,6 @@ class InterTower:
             mixed = ad.add(ad.mul(image_states[i], g), ad.mul(aligned[i], ad.one_minus(g)))
             b = self.blocks[i - 1](ad.add(mixed, b))
         return b
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for blk in self.blocks:
-            out.extend(blk.parameters())
-        for i in sorted(self.gates):
-            out.extend(self.gates[i].parameters())
-        return out
 
 
 class IisanModel:
@@ -225,7 +206,8 @@ class IisanModel:
         self.intra_text = IntraTower(text_dim, bottleneck, m, "intra_text", rng, dtype)
         self.intra_image = IntraTower(image_dim, bottleneck, m, "intra_image", rng, dtype)
         self.inter = InterTower(image_dim, bottleneck, m, "inter", rng, dtype)
-        self.dtl = (DimensionTransform(text_dim, image_dim, "dtl", rng, dtype)
+        # dimension transform: aligns the text width to the image width (asymmetric only)
+        self.dtl = (Linear(text_dim, image_dim, "dtl", rng, dtype=dtype)
                     if variant == VARIANT_ASYMMETRIC else None)
         self.fusion_in = image_dim + image_dim + text_dim
         self.fusion = Linear(self.fusion_in, dseq, "fusion", rng, dtype=dtype)
@@ -252,112 +234,33 @@ class IisanModel:
         return out
 
 
-def build_model(variant: str, text_layers: int, text_dim: int, image_layers: int, image_dim: int,
-                text_mode: Optional[str] = None, bottleneck: int = 16, dseq: int = 64,
-                seed: int = 0, dtype=np.float32) -> IisanModel:
-    """Construct towers from encoder shapes; plans are derived here."""
+def plans_for(variant: str, text_layers: int, image_layers: int,
+              text_mode: Optional[str]) -> tuple[LayerDropPlan, LayerDropPlan]:
+    """Text and image layer-drop plans for a variant and encoder depths.
+
+    The image side always keeps every second block. The symmetric variant
+    needs equal depths and the symmetric mode; the asymmetric one needs an
+    asymmetric text mode, asym_even_all when none is given.
+    """
     image_plan = select_layers(MODE_SYMMETRIC_EVEN, image_layers)
     if variant == VARIANT_SYMMETRIC:
-        if text_mode not in (None, MODE_SYMMETRIC_EVEN):
+        if text_mode and text_mode != MODE_SYMMETRIC_EVEN:
             raise ConfigError(f"symmetric variant only supports {MODE_SYMMETRIC_EVEN}, got {text_mode}")
         if text_layers != image_layers:
             raise ConfigError(f"symmetric variant needs equal layer counts, got {text_layers} and {image_layers}")
-        text_plan = select_layers(MODE_SYMMETRIC_EVEN, text_layers)
-    elif variant == VARIANT_ASYMMETRIC:
-        mode = text_mode or MODE_ASYM_EVEN_ALL
-        if mode == MODE_SYMMETRIC_EVEN:
-            raise ConfigError("asymmetric variant needs an asymmetric layer-drop mode for the text side")
-        text_plan = select_layers(mode, text_layers, image_layers)
-    else:
+        return select_layers(MODE_SYMMETRIC_EVEN, text_layers), image_plan
+    if variant != VARIANT_ASYMMETRIC:
         raise ConfigError(f"unknown variant {variant!r}")
+    mode = text_mode or MODE_ASYM_EVEN_ALL
+    if mode == MODE_SYMMETRIC_EVEN:
+        raise ConfigError("asymmetric variant needs an asymmetric layer-drop mode for the text side")
+    return select_layers(mode, text_layers, image_layers), image_plan
+
+
+def build_model(variant: str, text_layers: int, text_dim: int, image_layers: int, image_dim: int,
+                text_mode: Optional[str] = None, bottleneck: int = 16, dseq: int = 64,
+                seed: int = 0, dtype=np.float32) -> IisanModel:
+    """Construct towers from encoder shapes, with plans from `plans_for`."""
+    text_plan, image_plan = plans_for(variant, text_layers, image_layers, text_mode)
     return IisanModel(variant, text_plan, image_plan, text_dim, image_dim,
                       bottleneck, dseq, seed=seed, dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_MAGIC = b"IISM"
-CHECKPOINT_VERSION = 1
-_VARIANT_CODES = {VARIANT_SYMMETRIC: 0, VARIANT_ASYMMETRIC: 1}
-_MODE_CODES = {m: i for i, m in enumerate(MODES)}
-
-
-@dataclass(frozen=True)
-class CheckpointMeta:
-    variant: str
-    text_plan: LayerDropPlan
-    image_plan: LayerDropPlan
-    text_dim: int
-    image_dim: int
-    bottleneck: int
-    dseq: int
-    seq_blocks: int
-    seq_heads: int
-    max_seq_len: int
-
-
-def _pack_plan(plan: LayerDropPlan) -> bytes:
-    body = struct.pack("<BHHH", _MODE_CODES[plan.mode], plan.source_layers,
-                       plan.m, plan.group_size or 0)
-    return body + struct.pack(f"<{plan.m}H", *plan.kept_indices)
-
-
-def _unpack_plan(f) -> LayerDropPlan:
-    mode_code, src, m, k = struct.unpack("<BHHH", f.read(7))
-    kept = struct.unpack(f"<{m}H", f.read(2 * m))
-    modes = {v: k2 for k2, v in _MODE_CODES.items()}
-    return LayerDropPlan(modes[mode_code], src, tuple(kept), group_size=k or None)
-
-
-def save_checkpoint(path, meta: CheckpointMeta, params: Sequence[Parameter]) -> None:
-    """Parameters are stored as raw little-endian float32 in declaration order."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<HB", CHECKPOINT_VERSION, _VARIANT_CODES[meta.variant]))
-        f.write(_pack_plan(meta.text_plan))
-        f.write(_pack_plan(meta.image_plan))
-        f.write(struct.pack("<IIIIHHH", meta.text_dim, meta.image_dim, meta.bottleneck,
-                            meta.dseq, meta.seq_blocks, meta.seq_heads, meta.max_seq_len))
-        total = sum(p.data.size for p in params)
-        f.write(struct.pack("<Q", total))
-        for p in params:
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-
-
-def read_checkpoint(path) -> tuple[CheckpointMeta, np.ndarray]:
-    path = Path(path)
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-        version, variant_code = struct.unpack("<HB", f.read(3))
-        if version != CHECKPOINT_VERSION:
-            raise VersionError(f"unsupported checkpoint version {version}", offset=4)
-        variants = {v: k for k, v in _VARIANT_CODES.items()}
-        text_plan = _unpack_plan(f)
-        image_plan = _unpack_plan(f)
-        text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
-            struct.unpack("<IIIIHHH", f.read(22))
-        (total,) = struct.unpack("<Q", f.read(8))
-        blob = f.read(total * 4)
-        if len(blob) != total * 4:
-            raise FormatError("truncated checkpoint parameter blob", offset=f.tell())
-        meta = CheckpointMeta(variants[variant_code], text_plan, image_plan, text_dim,
-                              image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len)
-        return meta, np.frombuffer(blob, dtype="<f4").astype(np.float32)
-
-
-def assign_parameters(params: Sequence[Parameter], flat: np.ndarray) -> None:
-    """Copy a checkpoint blob into parameters, consuming it in declaration order."""
-    offset = 0
-    for p in params:
-        n = p.data.size
-        if offset + n > flat.size:
-            raise FormatError("checkpoint has fewer values than the model expects")
-        p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(p.data.dtype)
-        p.tensor.requires_grad = p.trainable
-        offset += n
-    if offset != flat.size:
-        raise FormatError(f"checkpoint has {flat.size - offset} unconsumed values")

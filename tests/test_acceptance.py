@@ -13,7 +13,7 @@ from iisan import autodiff as ad
 from iisan import costmodel as cm
 from iisan import recsys
 from iisan.autodiff import Tensor
-from iisan.backbone import EncoderConfig, build_encoder
+from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache, cache_file_size, header_size, write_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
 from iisan.recsys import TrainConfig, inbatch_debiased_ce, metrics_from_scores
@@ -50,8 +50,8 @@ def test_c2_cache_equivalence(tmp_path):
     generate_synthetic(SyntheticSpec(200, 50, 0.9, 8, 16, seed=7), tmp_path / "it.tsv")
     split = recsys.split_leave_one_out(recsys.load_interactions(tmp_path / "it.tsv"))
     pop = recsys.compute_popularity(split)
-    text_enc = build_encoder(EncoderConfig("text", 12, 64, 512, 32, 11))
-    image_enc = build_encoder(EncoderConfig("image", 12, 64, 256, 32, 22))
+    text_enc = FrozenEncoder(EncoderConfig("text", 12, 64, 512, 32, 11))
+    image_enc = FrozenEncoder(EncoderConfig("image", 12, 64, 256, 32, 22))
 
     def fresh():
         return recsys.build_rec_model("vs", 12, 64, 12, 64, bottleneck=16, dseq=64,
@@ -232,8 +232,8 @@ def test_c6_gradient_verification():
 # -- 7 ---------------------------------------------------------------------------
 
 def _train_and_eval(variant, text_layers, text_dim, seed, split, pop, tmp_path):
-    text_enc = build_encoder(EncoderConfig("text", text_layers, text_dim, 512, 32, 11))
-    image_enc = build_encoder(EncoderConfig("image", 12, 32, 256, 32, 22))
+    text_enc = FrozenEncoder(EncoderConfig("text", text_layers, text_dim, 512, 32, 11))
+    image_enc = FrozenEncoder(EncoderConfig("image", 12, 32, 256, 32, 22))
     rec = recsys.build_rec_model(variant, text_layers, text_dim, 12, 32,
                                  bottleneck=16, dseq=64, seq_blocks=2, seq_heads=2,
                                  max_seq_len=10, seed=seed)
@@ -247,7 +247,7 @@ def _train_and_eval(variant, text_layers, text_dim, seed, split, pop, tmp_path):
         rec.iisan.text_plan, rec.iisan.image_plan)
     cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=50, dropout=0.1, seed=seed, max_seq_len=10)
     recsys.train(rec, split, pop, provider, cfg)
-    return recsys.evaluate(rec, split, provider, cfg).hr_at_10
+    return recsys.evaluate(rec, split, provider).hr_at_10
 
 
 def test_c7_learning_signal(tmp_path):

@@ -81,12 +81,10 @@ def test_gelu_gradient_vs_finite_differences():
 def test_elementwise_dispatch_and_broadcast_rules():
     a = Tensor(np.ones((2, 2), dtype=np.float32))
     s = Tensor(np.asarray(2.0, dtype=np.float32))
-    np.testing.assert_array_equal(ad.elementwise("add", a, s).data, np.full((2, 2), 3.0, np.float32))
-    np.testing.assert_array_equal(ad.elementwise("mul", a, s).data, np.full((2, 2), 2.0, np.float32))
+    np.testing.assert_array_equal(ad.add(a, s).data, np.full((2, 2), 3.0, np.float32))
+    np.testing.assert_array_equal(ad.mul(a, s).data, np.full((2, 2), 2.0, np.float32))
     with pytest.raises(DimensionError):
         ad.add(a, Tensor(np.ones((3,), dtype=np.float32)))
-    with pytest.raises(ContractError):
-        ad.elementwise("pow", a, s)
 
 
 def test_backward_simple_square():
@@ -250,4 +248,4 @@ def test_tape_scopes_label_entries():
             hidden = ad.mul(w.tensor, w.tensor)
         loss = ad.sum_all(hidden)
     assert [e.scope for e in tape.entries] == ["backbone", ""]
-    assert len(tape.entries_in_scope("backbone")) == 1
+    assert len([e for e in tape.entries if e.scope.startswith("backbone")]) == 1

@@ -21,47 +21,47 @@ def test_fingerprint_differs_across_seeds():
 
 
 def test_encoder_state_count():
-    enc = bb.build_encoder(_cfg(layers=12, hidden_dim=64, vocab_or_patch_count=128))
+    enc = bb.FrozenEncoder(_cfg(layers=12, hidden_dim=64, vocab_or_patch_count=128))
     stack = bb.encode_item(enc, [1, 2, 3])
     assert stack.states.shape == (13, 64)
 
 
 def test_single_token_single_layer_shapes():
-    enc = bb.build_encoder(_cfg(layers=1))
+    enc = bb.FrozenEncoder(_cfg(layers=1))
     stack = bb.encode_item(enc, [7])
     assert stack.states.shape == (2, 8)
     assert np.isfinite(stack.states).all()
 
 
 def test_encoding_is_deterministic():
-    enc = bb.build_encoder(_cfg())
+    enc = bb.FrozenEncoder(_cfg())
     a = bb.encode_item(enc, [3, 1, 4, 1])
     b = bb.encode_item(enc, [3, 1, 4, 1])
     np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_equal_seed_encoders_are_bit_identical():
-    e1 = bb.build_encoder(_cfg())
-    e2 = bb.build_encoder(_cfg())
+    e1 = bb.FrozenEncoder(_cfg())
+    e2 = bb.FrozenEncoder(_cfg())
     for p1, p2 in zip(e1.parameters(), e2.parameters()):
         np.testing.assert_array_equal(p1.data, p2.data)
 
 
 def test_permuting_later_tokens_changes_states():
-    enc = bb.build_encoder(_cfg())
+    enc = bb.FrozenEncoder(_cfg())
     a = bb.encode_item(enc, [3, 1, 4, 1, 5])
     b = bb.encode_item(enc, [3, 5, 1, 4, 1])
     assert not np.array_equal(a.states[-1], b.states[-1])
 
 
 def test_encoder_parameters_are_frozen_by_default():
-    enc = bb.build_encoder(_cfg())
+    enc = bb.FrozenEncoder(_cfg())
     assert all(not p.trainable for p in enc.parameters())
     assert all(not p.tensor.requires_grad for p in enc.parameters())
 
 
 def test_encode_input_validation():
-    enc = bb.build_encoder(_cfg())
+    enc = bb.FrozenEncoder(_cfg())
     with pytest.raises(InputError):
         bb.encode_item(enc, [])
     with pytest.raises(InputError):
@@ -72,9 +72,9 @@ def test_encode_input_validation():
 
 def test_odd_hidden_dim_rejected():
     with pytest.raises(ConfigError):
-        bb.build_encoder(_cfg(hidden_dim=7))
+        bb.FrozenEncoder(_cfg(hidden_dim=7))
     with pytest.raises(ConfigError):
-        bb.build_encoder(_cfg(hidden_dim=0))
+        bb.FrozenEncoder(_cfg(hidden_dim=0))
 
 
 def test_item_tokens_deterministic_and_sized():
@@ -131,7 +131,7 @@ def _oracle_forward(enc, ids):
 
 
 def test_encode_matches_straight_line_oracle():
-    enc = bb.build_encoder(_cfg(layers=1, hidden_dim=4, vocab_or_patch_count=16, max_positions=4))
+    enc = bb.FrozenEncoder(_cfg(layers=1, hidden_dim=4, vocab_or_patch_count=16, max_positions=4))
     ids = [3, 9]
     stack = bb.encode_item(enc, ids)
     expected = _oracle_forward(enc, np.asarray(ids))
@@ -139,7 +139,7 @@ def test_encode_matches_straight_line_oracle():
 
 
 def test_oracle_agreement_on_deeper_encoder():
-    enc = bb.build_encoder(_cfg(layers=3, hidden_dim=8))
+    enc = bb.FrozenEncoder(_cfg(layers=3, hidden_dim=8))
     ids = [5, 2, 11, 40]
     stack = bb.encode_item(enc, ids)
     expected = _oracle_forward(enc, np.asarray(ids))

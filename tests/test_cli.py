@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,58 @@ def test_asymmetric_variant_pipeline(tmp_path, capsys):
     assert main(["train", "--out", out, *args]) == 0
     assert main(["eval", "--out", out, *args]) == 0
     assert "METRICS hr10=" in capsys.readouterr().out
+
+
+def _error_line(capsys, prefix):
+    """The one stderr line of a handled failure: its prefix, no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err, err
+    return err
+
+
+def test_damaged_checkpoint_is_input_error(tmp_path, capsys):
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "regime=dpeft_uncached", "--set", "train.epochs=1"]
+    assert main(["gen", "--out", out, *args]) == 0
+    assert main(["train", "--out", out, *args]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    raw = ckpt.read_bytes()
+    # truncated, unknown variant code, unknown text-plan mode code
+    for damaged in (raw[:10], raw[:6] + b"\x09" + raw[7:], raw[:7] + b"\x09" + raw[8:]):
+        ckpt.write_bytes(damaged)
+        capsys.readouterr()
+        assert main(["eval", "--out", out, *args]) == 3
+        assert "byte offset" in _error_line(capsys, "error:")
+
+
+def test_eval_uses_checkpoint_plans_and_window(tmp_path, capsys):
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "variant=va", "--set", "train.epochs=1"]
+    assert main(["gen", "--out", out, *args]) == 0
+    assert main(["cache", "--out", out, *args]) == 0
+    assert main(["train", "--out", out, *args]) == 0
+    capsys.readouterr()
+    metrics = []
+    for max_len in ("10", "5"):
+        assert main(["eval", "--out", out, *args, "--set", f"seq.max_len={max_len}"]) == 0
+        metrics.append(re.search(r"^METRICS .*$", capsys.readouterr().out, re.M).group())
+    assert metrics[0] == metrics[1]  # the window is the checkpoint's
+
+    # a cache rebuilt for 8 text layers keeps (4, 8); the model was trained on (2, 4)
+    deeper = [*args, "--set", "text.layers=8"]
+    assert main(["cache", "--out", out, *deeper]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--out", out, *deeper]) == 4
+    _error_line(capsys, "stale artifact:")
+    assert main(["eval", "--out", out, *deeper, "--set", "regime=dpeft_uncached"]) == 4
+    _error_line(capsys, "stale artifact:")
+
+
+def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "text.mode=asym_grouped"]
+    assert main(["gen", "--out", out, *args]) == 0
+    capsys.readouterr()
+    for command in ("cache", "train"):
+        assert main([command, "--out", out, *args]) == 2
+        _error_line(capsys, "config error:")

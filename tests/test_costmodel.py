@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iisan import costmodel as cm
-from iisan.backbone import EncoderConfig, build_encoder
+from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.errors import ConfigError, ContractError
 from iisan.recsys import SeqEncoder
 from iisan.sanet import build_model
@@ -83,7 +83,7 @@ def test_epeft_and_dpeft_params_same_order_of_magnitude():
 
 def test_param_counts_match_real_builders():
     text_cfg = EncoderConfig("text", 3, 16, 40, 20, 5)
-    enc = build_encoder(text_cfg)
+    enc = FrozenEncoder(text_cfg)
     assert cm.backbone_param_count(text_cfg) == sum(p.data.size for p in enc.parameters())
 
     vs = build_model("vs", 8, 16, 8, 16, bottleneck=4, dseq=12, seed=0)

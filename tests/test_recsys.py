@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iisan import autodiff as ad
 from iisan import recsys
 from iisan.autodiff import Tensor
-from iisan.backbone import EncoderConfig, build_encoder
+from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
-from iisan.errors import ConfigError, ContractError, InputError, StalenessError
+from iisan.errors import ContractError, FormatError, InputError, StalenessError
 from iisan.recsys import (InteractionDataset, TrainConfig, compute_popularity,
                           inbatch_debiased_ce, metrics_from_scores, popularity_baseline,
                           rank_pessimistic, split_leave_one_out)
@@ -88,18 +90,9 @@ def test_seq_causal_mask_property():
 
 def test_seq_single_item():
     enc = recsys.SeqEncoder(dim=8, blocks=2, heads=2, max_seq_len=6, seed=1)
-    out = recsys.seq_forward(enc, Tensor(np.ones((1, 8), dtype=np.float32)))
+    out = enc.states(Tensor(np.ones((1, 8), dtype=np.float32)))
     assert out.shape == (1, 8)
     assert np.isfinite(out.data).all()
-
-
-def test_seq_forward_truncates_from_left():
-    enc = recsys.SeqEncoder(dim=8, blocks=1, heads=1, max_seq_len=3, seed=1)
-    rng = np.random.default_rng(3)
-    embs = rng.normal(size=(6, 8)).astype(np.float32)
-    full = recsys.seq_forward(enc, Tensor(embs)).data
-    tail = recsys.seq_forward(enc, Tensor(embs[-3:])).data
-    np.testing.assert_array_equal(full, tail)
 
 
 def _np_gelu(x):
@@ -133,17 +126,6 @@ def test_seq_matches_single_head_oracle():
              + p["seq.block1.fc2.b"])
     expected = _np_ln(x, p["seq.ln_out.gain"], p["seq.ln_out.offset"])
     np.testing.assert_allclose(out, expected, atol=1e-5)
-
-
-def test_score_cases():
-    assert recsys.score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    v = np.array([1.5, -2.0, 0.5])
-    assert recsys.score(v, v) == pytest.approx(float((v * v).sum()))
-    rng = np.random.default_rng(7)
-    a, b = rng.normal(size=64), rng.normal(size=64)
-    assert recsys.score(a, b) == pytest.approx(sum(float(x * y) for x, y in zip(a, b)), rel=1e-6)
-    with pytest.raises(ContractError):
-        recsys.score(np.ones(3), np.ones(4))
 
 
 # --- loss -----------------------------------------------------------------------
@@ -335,7 +317,7 @@ def _tiny_world(tmp_path, users=30, items=20, strength=0.9, seed=3):
     pop = compute_popularity(split)
     text_cfg = EncoderConfig("text", 4, 16, 64, 16, seed=31)
     image_cfg = EncoderConfig("image", 4, 16, 64, 32, seed=32)
-    text_enc, image_enc = build_encoder(text_cfg), build_encoder(image_cfg)
+    text_enc, image_enc = FrozenEncoder(text_cfg), FrozenEncoder(image_cfg)
     return ds, split, pop, text_cfg, image_cfg, text_enc, image_enc
 
 
@@ -397,13 +379,20 @@ def test_cached_provider_rejects_mismatched_layers(tmp_path):
                                    plans.text_plan, plans.image_plan)
 
 
+def test_encode_provider_rejects_plan_for_other_depth(tmp_path):
+    _, _, _, _, _, text_enc, image_enc = _tiny_world(tmp_path)
+    deeper = recsys.build_rec_model("va", 8, 16, 4, 16, bottleneck=4, dseq=16).iisan
+    with pytest.raises(StalenessError):
+        recsys.EncodeStateProvider(text_enc, image_enc, deeper.text_plan, deeper.image_plan)
+
+
 def test_training_loss_decreases_on_planted_structure(tmp_path):
     data = tmp_path / "it.tsv"
     generate_synthetic(SyntheticSpec(50, 20, 0.9, 8, 12, seed=13), data)
     split = split_leave_one_out(recsys.load_interactions(data))
     pop = compute_popularity(split)
-    text_enc = build_encoder(EncoderConfig("text", 4, 16, 64, 16, seed=41))
-    image_enc = build_encoder(EncoderConfig("image", 4, 16, 64, 32, seed=42))
+    text_enc = FrozenEncoder(EncoderConfig("text", 4, 16, 64, 16, seed=41))
+    image_enc = FrozenEncoder(EncoderConfig("image", 4, 16, 64, 32, seed=42))
     rec = recsys.build_rec_model("vs", 4, 16, 4, 16, bottleneck=8, dseq=32,
                                  seq_blocks=2, seq_heads=2, max_seq_len=10, seed=1)
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
@@ -418,11 +407,10 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
     rec = _tiny_rec()
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
                                           rec.iisan.text_plan, rec.iisan.image_plan)
-    cfg = TrainConfig(max_seq_len=6)
-    report = recsys.evaluate(rec, split, provider, cfg)
+    report = recsys.evaluate(rec, split, provider)
     assert 0.0 <= report.ndcg_at_10 <= 1.0 and 0.0 <= report.hr_at_10 <= 1.0
     assert report.evaluated_user_count == len(split.test)
-    again = recsys.evaluate(rec, split, provider, cfg)
+    again = recsys.evaluate(rec, split, provider)
     assert (report.hr_at_10, report.ndcg_at_10) == (again.hr_at_10, again.ndcg_at_10)
     assert report.machine_line().startswith("METRICS hr10=")
 
@@ -430,17 +418,71 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
     clipped = recsys.Split(split.train, split.val, split.test, split.dropped_users,
                            tuple(i for i in split.catalog if i != split.test[min(split.test)]))
     with pytest.raises(InputError):
-        recsys.evaluate(rec, clipped, provider, cfg)
+        recsys.evaluate(rec, clipped, provider)
 
 
-def test_checkpoint_roundtrip_through_disk(tmp_path):
-    rec = _tiny_rec(seed=4)
+# --- checkpoints -----------------------------------------------------------------
+
+def _va_rec(seed=0):
+    return recsys.build_rec_model("va", 8, 24, 4, 16, text_mode="asym_grouped", bottleneck=4,
+                                  dseq=16, seq_blocks=2, seq_heads=2, max_seq_len=6, seed=seed)
+
+
+def _header_fields(rec):
+    i = rec.iisan
+    return (i.variant, i.text_plan, i.image_plan, i.text_dim, i.image_dim, i.bottleneck, i.dseq,
+            len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len)
+
+
+@pytest.mark.parametrize("build", [_tiny_rec, _va_rec], ids=["vs", "va-asym_grouped"])
+def test_checkpoint_roundtrip_through_disk(tmp_path, build):
+    rec = build(seed=4)
     rng = np.random.default_rng(14)
     for p in rec.parameters():
         p.tensor.data = rng.normal(size=p.data.shape).astype(np.float32)
     path = tmp_path / "m.ckpt"
     recsys.save_rec_checkpoint(path, rec)
     loaded = recsys.load_rec_checkpoint(path)
-    for a, b in zip(rec.parameters(), loaded.parameters()):
+    assert _header_fields(loaded) == _header_fields(rec)  # plans include the group size
+    assert (loaded.iisan.dtl is None) == (rec.iisan.variant == "vs")
+    for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
         assert a.name == b.name
         np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.fixture(scope="module")
+def va_checkpoint(tmp_path_factory):
+    """Bytes of a va/asym_grouped checkpoint, the offsets of its code bytes, and a
+    path to write damaged copies to."""
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    rec = _va_rec()
+    recsys.save_rec_checkpoint(path, rec)
+    image_mode_at = 7 + 7 + 2 * rec.iisan.text_plan.m  # after the header and the text plan
+    # field -> (byte offset, first unknown code)
+    codes = {"variant": (6, 2), "text mode": (7, 3), "image mode": (image_mode_at, 3)}
+    return path.read_bytes(), codes, path
+
+
+def test_checkpoint_truncated_at_every_offset(va_checkpoint):
+    raw, _, path = va_checkpoint
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError) as exc:
+            recsys.load_rec_checkpoint(path)
+        assert exc.value.offset is not None, cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_checkpoint_reader_raises_only_format_errors(va_checkpoint, data):
+    """An unknown variant or mode code, alone or with a truncation, is a FormatError
+    (VersionError is one) with a byte offset."""
+    raw, codes, path = va_checkpoint
+    at, first_unknown = codes[data.draw(st.sampled_from(sorted(codes)))]
+    damaged = bytearray(raw)
+    damaged[at] = data.draw(st.integers(first_unknown, 255))
+    cut = data.draw(st.integers(at + 1, len(raw)))
+    path.write_bytes(bytes(damaged[:cut]))
+    with pytest.raises(FormatError) as exc:
+        recsys.load_rec_checkpoint(path)
+    assert exc.value.offset is not None

@@ -301,29 +301,11 @@ def test_variant_validation():
         build_model("va", 12, 8, 12, 6, text_mode=MODE_SYMMETRIC_EVEN)
     with pytest.raises(ConfigError):
         build_model("vx", 12, 8, 12, 8)
+    with pytest.raises(ConfigError):
+        sanet.plans_for("vs", 12, 12, MODE_ASYM_GROUPED)  # rejected, not silently ignored
 
 
 def test_symmetric_model_has_no_dtl_and_va_has_one():
     assert _model().dtl is None
     va = _model(variant="va", text_layers=16, text_dim=10)
     assert va.dtl is not None
-
-
-# --- checkpoints ----------------------------------------------------------------
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    model = _model(variant="va", text_layers=16, text_dim=10)
-    _randomize(model, seed=22)
-    meta = sanet.CheckpointMeta(model.variant, model.text_plan, model.image_plan,
-                                model.text_dim, model.image_dim, model.bottleneck,
-                                model.dseq, seq_blocks=2, seq_heads=2, max_seq_len=10)
-    path = tmp_path / "model.ckpt"
-    sanet.save_checkpoint(path, meta, model.parameters())
-
-    meta2, flat = sanet.read_checkpoint(path)
-    assert meta2 == meta
-    fresh = _model(variant="va", text_layers=16, text_dim=10)
-    sanet.assign_parameters(fresh.parameters(), flat)
-    for a, b in zip(model.parameters(), fresh.parameters()):
-        assert a.name == b.name
-        np.testing.assert_array_equal(a.data, b.data)
