@@ -19,7 +19,6 @@ any parameter update mutates them; optimizers step from the returned map.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 

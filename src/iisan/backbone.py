@@ -52,19 +52,6 @@ def fingerprint(cfg: EncoderConfig) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
 
 
-@dataclass
-class HiddenStateStack:
-    """Per-item pooled hidden vectors: row 0 is the embedding output, row i block i."""
-
-    item_id: int
-    encoder_fingerprint: int
-    states: np.ndarray  # (layers + 1, hidden_dim) float32
-
-    def __post_init__(self):
-        if self.states.ndim != 2:
-            raise InputError(f"stack states must be 2-d, got shape {self.states.shape}")
-
-
 class FrozenEncoder:
     """Deterministic transformer whose weights never receive gradients unless
     explicitly built trainable (the full-fine-tuning regime)."""
@@ -106,34 +93,21 @@ def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
     return ids
 
 
-def _forward_states(enc: FrozenEncoder, ids: np.ndarray) -> list[Tensor]:
+def encode_item(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
+    """Run the encoder and pool every stage at position 0.
+
+    Returns the (layers + 1, hidden_dim) float32 stack: row 0 is the
+    embedding output, row i the output of block i.
+    """
+    ids = _check_tokens(enc, tokens)
     with ad.scope(f"backbone.{enc.cfg.modality}"):
         x = ad.add(ad.take_rows(enc.token_table.tensor, ids),
                    ad.take_rows(enc.pos_table.tensor, np.arange(ids.size)))
-        states = [x]
+        pooled = [x.data[0]]
         for block in enc.blocks:
             x = block(x)  # bidirectional: no mask
-            states.append(x)
-    return states
-
-
-def encode_item(enc: FrozenEncoder, tokens: Sequence[int], item_id: int = 0) -> HiddenStateStack:
-    """Run the encoder and pool every stage at position 0."""
-    ids = _check_tokens(enc, tokens)
-    states = _forward_states(enc, ids)
-    pooled = np.stack([s.data[0] for s in states]).astype(np.float32)
-    return HiddenStateStack(item_id=item_id, encoder_fingerprint=enc.fingerprint, states=pooled)
-
-
-def encode_item_graph(enc: FrozenEncoder, tokens: Sequence[int]) -> list[Tensor]:
-    """Like encode_item but keeps pooled states on the active tape (rows of shape (1, H)).
-
-    Used by regimes that backpropagate into or through the backbone.
-    """
-    ids = _check_tokens(enc, tokens)
-    states = _forward_states(enc, ids)
-    with ad.scope(f"backbone.{enc.cfg.modality}"):
-        return [ad.take_rows(s, [0]) for s in states]
+            pooled.append(x.data[0])
+    return np.stack(pooled).astype(np.float32)
 
 
 def item_tokens(cfg: EncoderConfig, item_id: int) -> list[int]:

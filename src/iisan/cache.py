@@ -13,7 +13,10 @@ File layout, all little-endian:
 
 Records are sorted by item_id; payloads are the training dtype (float32), so
 cached and recomputed states are bit-identical. Files are immutable after
-build; any number of readers may open them concurrently.
+build; any number of readers may open them concurrently. Every reader opens
+a file through one check of the header, the file size and the record ids,
+so a file whose kept layers or ids are not strictly increasing (unsorted or
+duplicate ids) is rejected with a FormatError before any record is served.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backbone import FrozenEncoder, HiddenStateStack, encode_item, item_tokens
+from .backbone import FrozenEncoder, encode_item, item_tokens
 from .errors import ConfigError, FormatError, InputError, NotFoundError, StalenessError, VersionError
 
 MAGIC = b"IISC"
@@ -53,10 +56,6 @@ class CacheHeader:
     item_count: int
     kept_layers: tuple[int, ...]
     hidden_dim: int
-
-    @property
-    def kept_count(self) -> int:
-        return len(self.kept_layers)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,7 @@ def build_cache(encoder: FrozenEncoder, items: Sequence[int], keep_layers: Seque
 
     def rows():
         for item_id in items:
-            stack = encode_item(encoder, item_tokens(encoder.cfg, item_id), item_id=item_id)
-            yield item_id, stack.states[list(kept)]
+            yield item_id, encode_item(encoder, item_tokens(encoder.cfg, item_id))[list(kept)]
 
     return write_cache(path, encoder.fingerprint, kept, encoder.cfg.hidden_dim, rows())
 
@@ -125,16 +123,35 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def read_header(f) -> CacheHeader:
-    start = f.tell()
-    magic, version, fp, count, m = _FIXED_HEADER.unpack(_read_exact(f, _FIXED_HEADER.size, "header"))
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=start)
-    if version != VERSION:
-        raise VersionError(f"unsupported cache version {version}", offset=start + 4)
-    kept = struct.unpack(f"<{m}H", _read_exact(f, 2 * m, "kept layer indices"))
-    (hidden_dim,) = struct.unpack("<I", _read_exact(f, 4, "hidden dim"))
-    return CacheHeader(fp, count, tuple(kept), hidden_dim)
+def _open_records(path: Path) -> tuple[CacheHeader, np.memmap]:
+    """Check the header, the file size and the record ids; return the record memmap."""
+    with open(path, "rb") as f:
+        magic, version, fp, count, m = _FIXED_HEADER.unpack(_read_exact(f, _FIXED_HEADER.size, "header"))
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        if version != VERSION:
+            raise VersionError(f"unsupported cache version {version}", offset=4)
+        kept = struct.unpack(f"<{m}H", _read_exact(f, 2 * m, "kept layer indices"))
+        if not kept or any(b <= a for a, b in zip(kept, kept[1:])):
+            raise FormatError(f"kept layer indices must be non-empty and strictly increasing, "
+                              f"got {kept}", offset=_FIXED_HEADER.size)
+        (hidden_dim,) = struct.unpack("<I", _read_exact(f, 4, "hidden dim"))
+    header = CacheHeader(fp, count, kept, hidden_dim)
+    expected = cache_file_size(count, m, hidden_dim)
+    actual = path.stat().st_size
+    if actual != expected:
+        raise FormatError(f"record count/size mismatch: file has {actual} bytes, "
+                          f"header implies {expected}", offset=min(actual, expected))
+    records = np.memmap(path, mode="r",
+                        dtype=np.dtype([("id", "<u8"), ("payload", "<f4", (m, hidden_dim))]),
+                        offset=header_size(m), shape=(count,))
+    ids = records["id"]
+    unsorted = np.flatnonzero(ids[1:] <= ids[:-1])
+    if unsorted.size:
+        i = int(unsorted[0]) + 1
+        raise FormatError(f"record ids are not strictly ascending: id {ids[i]} follows {ids[i - 1]}",
+                          offset=header_size(m) + i * record_size(m, hidden_dim))
+    return header, records
 
 
 class CacheStore:
@@ -142,38 +159,19 @@ class CacheStore:
 
     def __init__(self, path, expected_fingerprint: int | None = None):
         self.path = Path(path)
-        with open(self.path, "rb") as f:
-            self.header = read_header(f)
+        self.header, self._records = _open_records(self.path)
         if expected_fingerprint is not None and expected_fingerprint != self.header.encoder_fingerprint:
             raise StalenessError(
                 f"cache {self.path} was built by encoder {self.header.encoder_fingerprint:#x}, "
                 f"expected {expected_fingerprint:#x}; rebuild the cache")
-        h = self.header
-        expected = cache_file_size(h.item_count, h.kept_count, h.hidden_dim)
-        actual = self.path.stat().st_size
-        if actual != expected:
-            raise FormatError(
-                f"cache size {actual} does not match header ({expected} expected)", offset=actual)
-        self._records = np.memmap(
-            self.path, mode="r",
-            dtype=np.dtype([("id", "<u8"), ("payload", "<f4", (h.kept_count, h.hidden_dim))]),
-            offset=header_size(h.kept_count), shape=(h.item_count,))
-        self._index = {int(rec_id): i for i, rec_id in enumerate(self._records["id"])}
+        self._index = {rec_id: i for i, rec_id in enumerate(self._records["id"].tolist())}
 
-    def __len__(self) -> int:
-        return self.header.item_count
-
-    def item_ids(self) -> list[int]:
-        return sorted(self._index)
-
-    def read_item(self, item_id: int) -> HiddenStateStack:
+    def read_item(self, item_id: int) -> np.ndarray:
+        """The item's (kept layers, hidden_dim) float32 states."""
         i = self._index.get(int(item_id))
         if i is None:
             raise NotFoundError(f"item {item_id} not present in cache {self.path}")
-        payload = np.array(self._records[i]["payload"], dtype=np.float32)
-        return HiddenStateStack(item_id=int(item_id),
-                                encoder_fingerprint=self.header.encoder_fingerprint,
-                                states=payload)
+        return np.array(self._records[i]["payload"], dtype=np.float32)
 
 
 @dataclass
@@ -191,37 +189,17 @@ class VerifyReport:
 
 
 def verify_cache(path) -> VerifyReport:
-    """Structural check: magic/version, layer monotonicity, sizes, sampled finiteness."""
+    """The structural checks every reader makes, then sampled finiteness."""
     path = Path(path)
-    issues: list[str] = []
     try:
-        with open(path, "rb") as f:
-            header = read_header(f)
+        header, records = _open_records(path)
     except FormatError as exc:
         return VerifyReport(str(path), False, [str(exc)])
-
-    kept = header.kept_layers
-    if any(b <= a for a, b in zip(kept, kept[1:])):
-        issues.append(f"kept layer indices not strictly increasing: {kept}")
-
-    expected = cache_file_size(header.item_count, header.kept_count, header.hidden_dim)
-    actual = path.stat().st_size
-    if actual != expected:
-        issues.append(f"record count/size mismatch: file has {actual} bytes, header implies {expected}")
-        return VerifyReport(str(path), False, issues, header.item_count)
-
-    rec_dtype = np.dtype([("id", "<u8"), ("payload", "<f4", (header.kept_count, header.hidden_dim))])
-    records = np.memmap(path, mode="r", dtype=rec_dtype,
-                        offset=header_size(header.kept_count), shape=(header.item_count,))
-    ids = np.asarray(records["id"])
-    if header.item_count > 1 and not (ids[1:] > ids[:-1]).all():
-        issues.append("record ids are not sorted ascending")
-
+    issues: list[str] = []
     if header.item_count:
         sample_step = max(1, header.item_count // max(1, math.ceil(header.item_count * 0.01)))
         for i in range(0, header.item_count, sample_step):
             if not np.isfinite(records[i]["payload"]).all():
-                issues.append(f"non-finite payload in record for item {int(ids[i])}")
+                issues.append(f"non-finite payload in record for item {int(records[i]['id'])}")
                 break
-
     return VerifyReport(str(path), not issues, issues, header.item_count)

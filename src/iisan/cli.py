@@ -286,8 +286,7 @@ def cmd_train(cfg: RunConfig) -> int:
     rec = _build_rec_model(cfg)
     provider = _provider(cfg, rec.iisan.text_plan, rec.iisan.image_plan)
     tc = recsys.TrainConfig(lr=cfg.train_lr, batch_size=cfg.train_batch,
-                            epochs=cfg.train_epochs, dropout=cfg.train_dropout,
-                            seed=cfg.seed, max_seq_len=cfg.seq_max_len)
+                            epochs=cfg.train_epochs, dropout=cfg.train_dropout, seed=cfg.seed)
     result = recsys.train(rec, split, popularity, provider, tc)
 
     curve_path = Path(cfg.out) / "loss_curve.tsv"
@@ -330,9 +329,7 @@ def cmd_profile(cfg: RunConfig) -> int:
                             dseq=cfg.seq_dim, seq_blocks=cfg.seq_blocks,
                             seq_heads=cfg.seq_heads, seq_len=cfg.seq_max_len)
     reports = [costmodel.estimate(text_cfg, image_cfg, san, regime,
-                                  batch=cfg.profile_batch,
-                                  seq_lens=(TEXT_TOKEN_COUNT, IMAGE_TOKEN_COUNT),
-                                  catalog_items=cfg.gen_items)
+                                  batch=cfg.profile_batch, catalog_items=cfg.gen_items)
                for regime in costmodel.REGIMES]
     comparison = costmodel.compare(reports)
     for line in comparison.lines:

@@ -26,21 +26,20 @@ ratios are meaningful, never absolute values):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Parameter, Tape, Tensor
-from .backbone import EncoderConfig, FrozenEncoder, encode_item_graph, item_tokens
+from .autodiff import Adam, Tape
+from .backbone import IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, item_tokens
 from .cache import cache_file_size
 from .errors import ConfigError, ContractError
 from .layers import Linear
-from .recsys import (InteractionDataset, RecModel, SeqEncoder, TrainConfig, batch_windows,
-                     compute_popularity, sequence_loss, split_leave_one_out, train_step,
-                     EncodeStateProvider)
+from .recsys import (EncodeStateProvider, InteractionDataset, SeqEncoder, batch_windows,
+                     compute_popularity, sequence_loss, split_leave_one_out)
 from .sanet import SanBlock, build_model
 
 FFT = "fft"
@@ -138,9 +137,14 @@ def fusion_head_param_count(text_cfg: EncoderConfig, image_cfg: EncoderConfig, d
 
 # --- the estimator -------------------------------------------------------------
 
-def _backbone_fwd(text_cfg, image_cfg, wl: Workload) -> int:
-    return (text_cfg.layers * block_fwd_flops(wl.text_tokens, text_cfg.hidden_dim)
-            + image_cfg.layers * block_fwd_flops(wl.image_tokens, image_cfg.hidden_dim))
+# regime -> segments whose weights train, and segments the gradient only passes through
+_TRAINED = {
+    FFT: ("backbone", "head", "seq"),
+    EPEFT_ADAPTER: ("adapter", "head", "seq"),
+    DPEFT_UNCACHED: ("tower", "seq"),
+    DPEFT_CACHED: ("tower", "seq"),
+}
+_TRAVERSED = {FFT: (), EPEFT_ADAPTER: ("backbone",), DPEFT_UNCACHED: (), DPEFT_CACHED: ()}
 
 
 def _backbone_act_floats(cfg: EncoderConfig, tokens: int, trained: bool) -> int:
@@ -148,122 +152,68 @@ def _backbone_act_floats(cfg: EncoderConfig, tokens: int, trained: bool) -> int:
     return cfg.layers * (tokens * per_token + BACKBONE_HEADS * tokens * tokens)
 
 
-def _tower_fwd(text_cfg, image_cfg, san: SanSpec, m: int) -> int:
-    ht, hi, d = text_cfg.hidden_dim, image_cfg.hidden_dim, san.bottleneck
-    flops = m * 4 * ht * d + 2 * (m * 4 * hi * d)
-    if san.variant == "va":
-        flops += (m + 1) * 2 * ht * hi
-    flops += 2 * (2 * hi + ht) * san.dseq
-    return flops
-
-
-def _tower_act_floats(text_cfg, image_cfg, san: SanSpec, m: int) -> int:
-    ht, hi, d = text_cfg.hidden_dim, image_cfg.hidden_dim, san.bottleneck
-    floats = (m + 1) * (ht + hi)                       # input stacks
-    floats += m * (2 * ht + 2 * d) + 2 * (m * (2 * hi + 2 * d))
-    if san.variant == "va":
-        floats += (m + 1) * hi
-    floats += (2 * hi + ht) + san.dseq                 # fusion in/out
-    return floats
-
-
-def _adapter_fwd(text_cfg, image_cfg, san: SanSpec, wl: Workload) -> int:
-    d = san.bottleneck
-    return (text_cfg.layers * 4 * wl.text_tokens * text_cfg.hidden_dim * d
-            + image_cfg.layers * 4 * wl.image_tokens * image_cfg.hidden_dim * d)
-
-
-def _adapter_act_floats(text_cfg, image_cfg, san: SanSpec, wl: Workload) -> int:
-    d = san.bottleneck
-    return (text_cfg.layers * wl.text_tokens * (2 * text_cfg.hidden_dim + 2 * d)
-            + image_cfg.layers * wl.image_tokens * (2 * image_cfg.hidden_dim + 2 * d))
-
-
-def _head_fwd(text_cfg, image_cfg, san: SanSpec) -> int:
-    return 2 * (text_cfg.hidden_dim + image_cfg.hidden_dim) * san.dseq
-
-
-def _head_act_floats(text_cfg, image_cfg, san: SanSpec) -> int:
-    return text_cfg.hidden_dim + image_cfg.hidden_dim + san.dseq
-
-
-def _seq_fwd(san: SanSpec, wl: Workload) -> int:
-    return san.seq_blocks * block_fwd_flops(wl.seq_len, san.dseq)
-
-
-def _seq_act_floats(san: SanSpec, wl: Workload) -> int:
-    per_block = wl.seq_len * san.dseq * (CHAIN_ACT_VECTORS + WGRAD_ACT_VECTORS) \
-        + san.seq_heads * wl.seq_len * wl.seq_len
-    return wl.seq_len * san.dseq + san.seq_blocks * per_block
+def _segment_costs(text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec,
+                   wl: Workload, m: int, backbone_trained: bool) -> dict[str, tuple[int, int, int]]:
+    """Per segment: forward FLOPs and stored activation floats per item, and parameters."""
+    ht, hi, d, dseq = text_cfg.hidden_dim, image_cfg.hidden_dim, san.bottleneck, san.dseq
+    lt, li, st, si, s = text_cfg.layers, image_cfg.layers, wl.text_tokens, wl.image_tokens, wl.seq_len
+    va = san.variant == "va"
+    # towers run on pooled per-item vectors (no token factor); va adds the dimension transform
+    tower_fwd = m * 4 * ht * d + 2 * (m * 4 * hi * d) + 2 * (2 * hi + ht) * dseq
+    tower_act = ((m + 1) * (ht + hi)                                 # input stacks
+                 + m * (2 * ht + 2 * d) + 2 * (m * (2 * hi + 2 * d))
+                 + (2 * hi + ht) + dseq)                             # fusion in/out
+    if va:
+        tower_fwd += (m + 1) * 2 * ht * hi
+        tower_act += (m + 1) * hi
+    seq_block_act = s * dseq * (CHAIN_ACT_VECTORS + WGRAD_ACT_VECTORS) + san.seq_heads * s * s
+    return {
+        "backbone": (lt * block_fwd_flops(st, ht) + li * block_fwd_flops(si, hi),
+                     _backbone_act_floats(text_cfg, st, backbone_trained)
+                     + _backbone_act_floats(image_cfg, si, backbone_trained),
+                     backbone_param_count(text_cfg) + backbone_param_count(image_cfg)),
+        "adapter": (lt * 4 * st * ht * d + li * 4 * si * hi * d,
+                    lt * st * (2 * ht + 2 * d) + li * si * (2 * hi + 2 * d),
+                    adapter_param_count(text_cfg, image_cfg, d)),
+        "tower": (tower_fwd, tower_act, tower_param_count(ht, hi, m, d, dseq, va)),
+        "head": (2 * (ht + hi) * dseq, ht + hi + dseq,
+                 fusion_head_param_count(text_cfg, image_cfg, dseq)),
+        "seq": (san.seq_blocks * block_fwd_flops(s, dseq), s * dseq + san.seq_blocks * seq_block_act,
+                seq_param_count(dseq, san.seq_blocks, san.seq_len)),
+    }
 
 
 def estimate(text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec, regime: str,
-             batch: int = 32, seq_lens: tuple[int, int] = (8, 16),
+             batch: int = 32, seq_lens: tuple[int, int] = (TEXT_TOKEN_COUNT, IMAGE_TOKEN_COUNT),
              catalog_items: int = 1000) -> CostReport:
-    """Per-step cost of one batch of items plus one batch of user sequences."""
+    """Per-step cost of one batch of items plus one batch of user sequences.
+
+    Every segment on the tape (trained or traversed) runs forward once and
+    stores its activations; backward costs 2x forward for trained segments
+    and 1x for traversed ones. The backbone also runs forward, off the tape,
+    in the uncached decoupled regime.
+    """
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     if san.variant == "vs" and text_cfg.hidden_dim != image_cfg.hidden_dim:
         raise ConfigError("symmetric estimate needs equal hidden dims")
     wl = Workload(batch, seq_lens[0], seq_lens[1], san.seq_len, catalog_items)
     m = image_cfg.layers // 2
-
-    backbone_f = _backbone_fwd(text_cfg, image_cfg, wl)
-    seq_f = _seq_fwd(san, wl)
-    seq_act = _seq_act_floats(san, wl)
-
-    if regime == FFT:
-        peft_f = _head_fwd(text_cfg, image_cfg, san) + seq_f
-        fwd_backbone = backbone_f
-        bwd = 2 * (backbone_f + peft_f)
-        act = (_backbone_act_floats(text_cfg, wl.text_tokens, True)
-               + _backbone_act_floats(image_cfg, wl.image_tokens, True)
-               + _head_act_floats(text_cfg, image_cfg, san) + seq_act)
-        params = (backbone_param_count(text_cfg) + backbone_param_count(image_cfg)
-                  + fusion_head_param_count(text_cfg, image_cfg, san.dseq)
-                  + seq_param_count(san.dseq, san.seq_blocks, san.seq_len))
-        cache_bytes = 0
-        trained = ("backbone", "head", "seq")
-        traversed: tuple[str, ...] = ()
-    elif regime == EPEFT_ADAPTER:
-        adapters_f = _adapter_fwd(text_cfg, image_cfg, san, wl)
-        peft_f = adapters_f + _head_fwd(text_cfg, image_cfg, san) + seq_f
-        fwd_backbone = backbone_f
-        bwd = backbone_f + 2 * peft_f
-        act = (_backbone_act_floats(text_cfg, wl.text_tokens, False)
-               + _backbone_act_floats(image_cfg, wl.image_tokens, False)
-               + _adapter_act_floats(text_cfg, image_cfg, san, wl)
-               + _head_act_floats(text_cfg, image_cfg, san) + seq_act)
-        params = (adapter_param_count(text_cfg, image_cfg, san.bottleneck)
-                  + fusion_head_param_count(text_cfg, image_cfg, san.dseq)
-                  + seq_param_count(san.dseq, san.seq_blocks, san.seq_len))
-        cache_bytes = 0
-        trained = ("adapter", "head", "seq")
-        traversed = ("backbone",)
-    else:  # decoupled regimes
-        towers_f = _tower_fwd(text_cfg, image_cfg, san, m)
-        peft_f = towers_f + seq_f
-        fwd_backbone = 0 if regime == DPEFT_CACHED else backbone_f
-        bwd = 2 * peft_f
-        act = _tower_act_floats(text_cfg, image_cfg, san, m) + seq_act
-        params = (tower_param_count(text_cfg.hidden_dim, image_cfg.hidden_dim, m,
-                                    san.bottleneck, san.dseq, san.variant == "va")
-                  + seq_param_count(san.dseq, san.seq_blocks, san.seq_len))
-        if regime == DPEFT_CACHED:
-            cache_bytes = (cache_file_size(catalog_items, m + 1, text_cfg.hidden_dim)
-                           + cache_file_size(catalog_items, m + 1, image_cfg.hidden_dim))
-        else:
-            cache_bytes = 0
-        trained = ("tower", "seq")
-        traversed = ()
-
+    trained, traversed = _TRAINED[regime], _TRAVERSED[regime]
+    costs = _segment_costs(text_cfg, image_cfg, san, wl, m, "backbone" in trained)
+    on_tape = trained + traversed
+    cache_bytes = 0
+    if regime == DPEFT_CACHED:
+        cache_bytes = (cache_file_size(catalog_items, m + 1, text_cfg.hidden_dim)
+                       + cache_file_size(catalog_items, m + 1, image_cfg.hidden_dim))
     return CostReport(
         regime=regime,
-        fwd_backbone_flops=batch * fwd_backbone,
-        fwd_peft_flops=batch * peft_f,
-        bwd_flops=batch * bwd,
-        activation_bytes=4 * batch * act,
-        trainable_params=params,
+        fwd_backbone_flops=0 if regime == DPEFT_CACHED else batch * costs["backbone"][0],
+        fwd_peft_flops=batch * sum(costs[seg][0] for seg in on_tape if seg != "backbone"),
+        bwd_flops=batch * (sum(2 * costs[seg][0] for seg in trained)
+                           + sum(costs[seg][0] for seg in traversed)),
+        activation_bytes=4 * batch * sum(costs[seg][1] for seg in on_tape),
+        trainable_params=sum(costs[seg][2] for seg in trained),
         cache_bytes=cache_bytes,
         workload=wl,
         weight_grad_segments=trained,
@@ -360,31 +310,29 @@ class ProbeSetup:
         )
 
 
-def _epeft_item_matrix(encoders, adapters, head, candidates):
+PROBE_SEQ_LEN = 6
+
+
+def _pooled_item_matrix(encoders, adapters, head, candidates):
+    """`head` over both encoders' final states at position 0, one row per candidate.
+
+    Each backbone block is followed by its adapter when `adapters` holds one
+    list of blocks per encoder.
+    """
     rows = []
     for item_id in candidates:
         pooled = []
-        for enc, adp in ((encoders[0], adapters[0]), (encoders[1], adapters[1])):
+        for side, enc in enumerate(encoders):
             ids = np.asarray(item_tokens(enc.cfg, item_id), dtype=np.int64)
             with ad.scope(f"backbone.{enc.cfg.modality}"):
                 x = ad.add(ad.take_rows(enc.token_table.tensor, ids),
                            ad.take_rows(enc.pos_table.tensor, np.arange(ids.size)))
-            for blk, blk_adapter in zip(enc.blocks, adp):
+            for i, blk in enumerate(enc.blocks):
                 with ad.scope(f"backbone.{enc.cfg.modality}"):
                     x = blk(x)
-                x = blk_adapter(x)
+                if adapters is not None:
+                    x = adapters[side][i](x)
             pooled.append(ad.take_rows(x, [0]))
-        rows.append(ad.concat_cols(pooled))
-    return head(ad.concat_rows(rows))
-
-
-def _fft_item_matrix(encoders, head, candidates):
-    rows = []
-    for item_id in candidates:
-        pooled = []
-        for enc in encoders:
-            states = encode_item_graph(enc, item_tokens(enc.cfg, item_id))
-            pooled.append(states[-1])
         rows.append(ad.concat_cols(pooled))
     return head(ad.concat_rows(rows))
 
@@ -392,76 +340,61 @@ def _fft_item_matrix(encoders, head, candidates):
 def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> ProbeReport:
     """Run one real training step in `regime` and report where gradients landed.
 
-    Both decoupled regimes share one gradient graph (caching changes where
-    stacks come from, never what is differentiated), so they probe equally.
+    Every regime differentiates the same sequence loss; only the item matrix
+    differs. Both decoupled regimes embed precomputed stacks with the towers
+    (caching changes where stacks come from, never what is differentiated),
+    so they probe equally.
     """
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     setup = setup or ProbeSetup.default()
     split = split_leave_one_out(InteractionDataset.from_users(setup.users))
     popularity = compute_popularity(split)
-    users = sorted(split.train)
-    cfg = TrainConfig(lr=1e-3, batch_size=len(users), epochs=1, dropout=0.0, seed=0, max_seq_len=6)
+    windows = batch_windows(sorted(split.train), split, PROBE_SEQ_LEN)
+    candidates = sorted({item for w in windows.values() for item in w})
 
     fft = regime == FFT
     text_enc = FrozenEncoder(setup.text_cfg, trainable=fft)
     image_enc = FrozenEncoder(setup.image_cfg, trainable=fft)
     backbone_params = text_enc.parameters() + image_enc.parameters()
-    backbone_names = {p.name for p in backbone_params}
     snapshot = {p.name: p.data.copy() for p in backbone_params}
+    seq = SeqEncoder(dim=setup.dseq, blocks=2, heads=2, max_seq_len=PROBE_SEQ_LEN, seed=2)
 
     if regime in (DPEFT_CACHED, DPEFT_UNCACHED):
-        rec = RecModel(
-            build_model("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim,
-                        setup.image_cfg.layers, setup.image_cfg.hidden_dim,
-                        bottleneck=setup.bottleneck, dseq=setup.dseq, seed=1),
-            SeqEncoder(dim=setup.dseq, blocks=2, heads=2, max_seq_len=cfg.max_seq_len, seed=2))
-        provider = EncodeStateProvider(text_enc, image_enc, rec.iisan.text_plan, rec.iisan.image_plan)
-        trainables = rec.parameters()
-        debug: list = []
-        train_step(rec, users, split, popularity, provider, cfg, None, None, debug_out=debug)
-        tape, loss = debug[0]
+        towers = build_model("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim,
+                             setup.image_cfg.layers, setup.image_cfg.hidden_dim,
+                             bottleneck=setup.bottleneck, dseq=setup.dseq, seed=1)
+        provider = EncodeStateProvider(text_enc, image_enc, towers.text_plan, towers.image_plan)
+        text_states, image_states = provider.batch_states(candidates)
+        embed = partial(towers.item_embed, text_states, image_states)
+        trainables = towers.parameters()
     else:
         rng = np.random.default_rng(3)
-        head = Linear(setup.text_cfg.hidden_dim + setup.image_cfg.hidden_dim,
-                      setup.dseq, "head", rng)
-        seq = SeqEncoder(dim=setup.dseq, blocks=2, heads=2, max_seq_len=cfg.max_seq_len, seed=2)
+        head = Linear(setup.text_cfg.hidden_dim + setup.image_cfg.hidden_dim, setup.dseq, "head", rng)
+        trainables = head.parameters()
         adapters = None
         if regime == EPEFT_ADAPTER:
-            adapters = (
-                [SanBlock(setup.text_cfg.hidden_dim, setup.bottleneck, f"adapter.text.block{i + 1}", rng)
-                 for i in range(setup.text_cfg.layers)],
-                [SanBlock(setup.image_cfg.hidden_dim, setup.bottleneck, f"adapter.image.block{i + 1}", rng)
-                 for i in range(setup.image_cfg.layers)],
-            )
-        trainables = head.parameters() + seq.parameters()
-        if adapters is not None:
-            for side in adapters:
-                for blk in side:
-                    trainables.extend(blk.parameters())
+            adapters = [[SanBlock(enc.cfg.hidden_dim, setup.bottleneck,
+                                  f"adapter.{enc.cfg.modality}.block{i + 1}", rng)
+                         for i in range(enc.cfg.layers)] for enc in (text_enc, image_enc)]
+            trainables += [p for side in adapters for blk in side for p in blk.parameters()]
         if fft:
             trainables = backbone_params + trainables
+        embed = partial(_pooled_item_matrix, (text_enc, image_enc), adapters, head, candidates)
+    trainables += seq.parameters()
 
-        windows = batch_windows(users, split, cfg.max_seq_len)
-        candidates = sorted({item for w in windows.values() for item in w})
-        with Tape() as tape:
-            if regime == EPEFT_ADAPTER:
-                item_matrix = _epeft_item_matrix((text_enc, image_enc), adapters, head, candidates)
-            else:
-                item_matrix = _fft_item_matrix((text_enc, image_enc), head, candidates)
-            loss = sequence_loss(seq, item_matrix, candidates, windows, split, popularity)
-
+    with Tape() as tape:
+        loss = sequence_loss(seq, embed(), candidates, windows, split, popularity)
     # gradients must be taken before the update: tape entries reference live arrays
     all_params = trainables if fft else trainables + backbone_params
     grad_map = ad.backward(tape, loss, all_params)
-    Adam(trainables, lr=cfg.lr).step(grad_map)
-    retained = any(e.scope.startswith("backbone") for e in tape.entries)
-    unchanged = all(np.array_equal(snapshot[p.name], p.data) for p in backbone_params)
+    Adam(trainables, lr=1e-3).step(grad_map)
     return ProbeReport(
         regime=regime,
         grad_param_names=set(grad_map),
         all_param_names={p.name for p in all_params},
-        backbone_param_names=backbone_names,
-        backbone_activations_retained=retained,
-        backbone_weights_unchanged=unchanged,
+        backbone_param_names={p.name for p in backbone_params},
+        backbone_activations_retained=any(e.scope.startswith("backbone") for e in tape.entries),
+        backbone_weights_unchanged=all(np.array_equal(snapshot[p.name], p.data)
+                                       for p in backbone_params),
     )

@@ -63,6 +63,8 @@ class TransformerBlock:
 
     def __init__(self, dim: int, heads: int, name: str, rng: np.random.Generator,
                  trainable: bool = True, dtype=np.float32):
+        if heads < 1:
+            raise ConfigError(f"attention needs at least one head, got {heads}")
         if dim % heads != 0:
             raise ConfigError(f"hidden dim {dim} is not divisible by {heads} heads")
         self.dim = dim

@@ -238,8 +238,7 @@ class EncodeStateProvider:
 
     @staticmethod
     def _encode_all(enc: FrozenEncoder, layers: list[int], item_ids) -> list[np.ndarray]:
-        return [encode_item(enc, item_tokens(enc.cfg, i), item_id=i).states[layers]
-                for i in item_ids]
+        return [encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]
 
 
 class CachedStateProvider:
@@ -256,8 +255,8 @@ class CachedStateProvider:
         self.image_store = image_store
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
-        return (_stack_batch([self.text_store.read_item(i).states for i in item_ids]),
-                _stack_batch([self.image_store.read_item(i).states for i in item_ids]))
+        return (_stack_batch([self.text_store.read_item(i) for i in item_ids]),
+                _stack_batch([self.image_store.read_item(i) for i in item_ids]))
 
 
 def _stack_batch(stacks: list[np.ndarray]) -> list[Tensor]:
@@ -285,7 +284,6 @@ class TrainConfig:
     epochs: int = 5
     dropout: float = 0.1
     seed: int = 7
-    max_seq_len: int = 10
 
 
 @dataclass
@@ -326,10 +324,12 @@ def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int
 
 def train_step(rec: RecModel, users: Sequence[int], split: Split,
                popularity: Mapping[int, float], provider, cfg: TrainConfig,
-               opt: Optional[Adam], dropout_rng: Optional[np.random.Generator],
-               debug_out: Optional[list] = None) -> float:
-    """One optimizer step over a batch of users; returns the batch loss."""
-    windows = batch_windows(users, split, cfg.max_seq_len)
+               opt: Optional[Adam], dropout_rng: Optional[np.random.Generator]) -> float:
+    """One optimizer step over a batch of users; returns the batch loss.
+
+    Windows are cut to the model's own length, `rec.seq.max_seq_len`.
+    """
+    windows = batch_windows(users, split, rec.seq.max_seq_len)
     candidates = sorted({item for w in windows.values() for item in w})
     text_states, image_states = provider.batch_states(candidates)
 
@@ -340,8 +340,6 @@ def train_step(rec: RecModel, users: Sequence[int], split: Split,
     with Tape() as tape:
         item_matrix = rec.iisan.item_embed(text_states, image_states)
         loss = sequence_loss(rec.seq, item_matrix, candidates, windows, split, popularity, drop)
-    if debug_out is not None:
-        debug_out.append((tape, loss))
     if opt is not None:
         grads = ad.backward(tape, loss, rec.parameters())
         opt.step(grads)
@@ -517,14 +515,18 @@ def load_rec_checkpoint(path, dtype=np.float32) -> RecModel:
             raise FormatError(f"unknown variant code {variant_code}", offset=6)
         text_plan = _unpack_plan(f)
         image_plan = _unpack_plan(f)
+        dims_at = f.tell()
         text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
             _DIMS.unpack(_read_exact(f, _DIMS.size, "model dimensions"))
         (total,) = struct.unpack("<Q", _read_exact(f, 8, "parameter count"))
         blob = _read_exact(f, total * 4, "parameters")
-    iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
-                       image_dim, bottleneck, dseq, dtype=dtype)
-    seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
-                     max_seq_len=max_seq_len, dtype=dtype)
+    try:
+        iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
+                           image_dim, bottleneck, dseq, dtype=dtype)
+        seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
+                         max_seq_len=max_seq_len, dtype=dtype)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=dims_at) from exc
     rec = RecModel(iisan, seq)
     assign_parameters(rec.parameters(), np.frombuffer(blob, dtype="<f4").astype(np.float32))
     return rec

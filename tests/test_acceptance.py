@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from iisan import autodiff as ad
 from iisan import costmodel as cm
@@ -66,7 +65,7 @@ def test_c2_cache_equivalence(tmp_path):
         plans.text_plan, plans.image_plan)
     uncached = recsys.EncodeStateProvider(text_enc, image_enc, plans.text_plan, plans.image_plan)
 
-    cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=5, dropout=0.1, seed=5, max_seq_len=10)
+    cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=5, dropout=0.1, seed=5)
     curves = [recsys.train(fresh(), split, pop, provider, cfg).epoch_losses
               for provider in (cached, uncached)]
     ok = curves[0] == curves[1] and len(curves[0]) == 5
@@ -245,7 +244,7 @@ def _train_and_eval(variant, text_layers, text_dim, seed, split, pop, tmp_path):
         CacheStore(tdir / "t.iisc", text_enc.fingerprint),
         CacheStore(tdir / "i.iisc", image_enc.fingerprint),
         rec.iisan.text_plan, rec.iisan.image_plan)
-    cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=50, dropout=0.1, seed=seed, max_seq_len=10)
+    cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=50, dropout=0.1, seed=seed)
     recsys.train(rec, split, pop, provider, cfg)
     return recsys.evaluate(rec, split, provider).hr_at_10
 
@@ -300,7 +299,7 @@ def test_c9_cache_integrity(tmp_path):
     store = CacheStore(path, expected_fingerprint=0xACCE55)
     sample = rng.choice(n, size=n, replace=False)
     for i in sample:
-        if not np.array_equal(store.read_item(int(i)).states, rows[i][1]):
+        if not np.array_equal(store.read_item(int(i)), rows[i][1]):
             ok = False
             break
 

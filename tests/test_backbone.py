@@ -23,21 +23,22 @@ def test_fingerprint_differs_across_seeds():
 def test_encoder_state_count():
     enc = bb.FrozenEncoder(_cfg(layers=12, hidden_dim=64, vocab_or_patch_count=128))
     stack = bb.encode_item(enc, [1, 2, 3])
-    assert stack.states.shape == (13, 64)
+    assert stack.shape == (13, 64)
+    assert stack.dtype == np.float32
 
 
 def test_single_token_single_layer_shapes():
     enc = bb.FrozenEncoder(_cfg(layers=1))
     stack = bb.encode_item(enc, [7])
-    assert stack.states.shape == (2, 8)
-    assert np.isfinite(stack.states).all()
+    assert stack.shape == (2, 8)
+    assert np.isfinite(stack).all()
 
 
 def test_encoding_is_deterministic():
     enc = bb.FrozenEncoder(_cfg())
     a = bb.encode_item(enc, [3, 1, 4, 1])
     b = bb.encode_item(enc, [3, 1, 4, 1])
-    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_equal_seed_encoders_are_bit_identical():
@@ -51,7 +52,7 @@ def test_permuting_later_tokens_changes_states():
     enc = bb.FrozenEncoder(_cfg())
     a = bb.encode_item(enc, [3, 1, 4, 1, 5])
     b = bb.encode_item(enc, [3, 5, 1, 4, 1])
-    assert not np.array_equal(a.states[-1], b.states[-1])
+    assert not np.array_equal(a[-1], b[-1])
 
 
 def test_encoder_parameters_are_frozen_by_default():
@@ -135,7 +136,7 @@ def test_encode_matches_straight_line_oracle():
     ids = [3, 9]
     stack = bb.encode_item(enc, ids)
     expected = _oracle_forward(enc, np.asarray(ids))
-    np.testing.assert_allclose(stack.states, expected, atol=1e-6)
+    np.testing.assert_allclose(stack, expected, atol=1e-6)
 
 
 def test_oracle_agreement_on_deeper_encoder():
@@ -143,4 +144,4 @@ def test_oracle_agreement_on_deeper_encoder():
     ids = [5, 2, 11, 40]
     stack = bb.encode_item(enc, ids)
     expected = _oracle_forward(enc, np.asarray(ids))
-    np.testing.assert_allclose(stack.states, expected, atol=5e-6)
+    np.testing.assert_allclose(stack, expected, atol=5e-6)

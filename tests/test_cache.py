@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,10 +37,8 @@ def test_roundtrip_with_all_layers_is_bit_exact(tmp_path):
     cache.build_cache(enc, items, range(enc.cfg.layers + 1), path)
     store = cache.CacheStore(path, expected_fingerprint=enc.fingerprint)
     for item_id in items:
-        direct = bb.encode_item(enc, bb.item_tokens(enc.cfg, item_id), item_id=item_id)
-        cached = store.read_item(item_id)
-        np.testing.assert_array_equal(cached.states, direct.states)
-        assert cached.encoder_fingerprint == enc.fingerprint
+        direct = bb.encode_item(enc, bb.item_tokens(enc.cfg, item_id))
+        np.testing.assert_array_equal(store.read_item(item_id), direct)
 
 
 def test_pruned_roundtrip_bit_exact(tmp_path):
@@ -47,8 +47,8 @@ def test_pruned_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "pruned.iisc"
     cache.build_cache(enc, [11, 12], keep, path)
     store = cache.CacheStore(path)
-    direct = bb.encode_item(enc, bb.item_tokens(enc.cfg, 12), item_id=12)
-    np.testing.assert_array_equal(store.read_item(12).states, direct.states[keep])
+    direct = bb.encode_item(enc, bb.item_tokens(enc.cfg, 12))
+    np.testing.assert_array_equal(store.read_item(12), direct[keep])
 
 
 def test_pruning_81_states_to_6_shrinks_payload_by_13_5(tmp_path):
@@ -154,3 +154,38 @@ def test_import_unknown_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionError):
         cache.CacheStore(path)
+
+
+def _patched(tmp_path, at_and_bytes):
+    """A valid 3-record cache (m=2, H=4) with bytes overwritten at given offsets."""
+    path = tmp_path / "c.iisc"
+    cache.write_cache(path, 7, [0, 1], 4, _random_rows(3, 2, 4))
+    raw = bytearray(path.read_bytes())
+    for at, data in at_and_bytes:
+        raw[at:at + len(data)] = data
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def _record_id_at(i):
+    return cache.header_size(2) + i * cache.record_size(2, 4)
+
+
+@pytest.mark.parametrize("ids", [(0, 0, 2), (1, 0, 2)], ids=["duplicate", "swapped"])
+def test_store_rejects_ids_out_of_order(tmp_path, ids):
+    path = _patched(tmp_path, [(_record_id_at(i), struct.pack("<Q", v)) for i, v in enumerate(ids)])
+    with pytest.raises(FormatError) as exc:
+        cache.CacheStore(path)
+    assert exc.value.offset == _record_id_at(1)
+    report = cache.verify_cache(path)
+    assert not report.ok
+    assert any("ascending" in issue for issue in report.issues)
+
+
+def test_store_rejects_kept_layers_out_of_order(tmp_path):
+    kept_at = cache.header_size(0) - 4  # the kept indices follow the fixed header
+    path = _patched(tmp_path, [(kept_at, struct.pack("<2H", 1, 0))])
+    with pytest.raises(FormatError) as exc:
+        cache.CacheStore(path)
+    assert exc.value.offset == kept_at
+    assert not cache.verify_cache(path).ok

@@ -1,6 +1,5 @@
 import re
 
-import numpy as np
 import pytest
 
 from iisan import cli

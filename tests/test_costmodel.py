@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
 from iisan import costmodel as cm
@@ -96,6 +95,43 @@ def test_param_counts_match_real_builders():
 
     seq = SeqEncoder(dim=24, blocks=2, heads=2, max_seq_len=10)
     assert cm.seq_param_count(24, 2, 10) == sum(p.data.size for p in seq.parameters())
+
+
+# (fwd_backbone, fwd_peft, bwd, activation bytes, params, cache bytes), trained, traversed
+PINNED = {
+    "vs": {
+        cm.FFT: ((1114112, 18944, 2266112, 449024, 40752, 0), ("backbone", "head", "seq"), ()),
+        cm.EPEFT_ADAPTER: ((1114112, 117248, 1348608, 338432, 2384, 0),
+                           ("adapter", "head", "seq"), ("backbone",)),
+        cm.DPEFT_UNCACHED: ((1114112, 26112, 52224, 20480, 2220, 0), ("tower", "seq"), ()),
+        cm.DPEFT_CACHED: ((0, 26112, 52224, 20480, 2220, 20060), ("tower", "seq"), ()),
+    },
+    "va": {
+        cm.FFT: ((2162688, 36352, 4398080, 732928, 90712, 0), ("backbone", "head", "seq"), ()),
+        cm.EPEFT_ADAPTER: ((2162688, 200192, 2563072, 544512, 4488, 0),
+                           ("adapter", "head", "seq"), ("backbone",)),
+        cm.DPEFT_UNCACHED: ((2162688, 53760, 107520, 35712, 3700, 0), ("tower", "seq"), ()),
+        cm.DPEFT_CACHED: ((0, 53760, 107520, 35712, 3700, 24860), ("tower", "seq"), ()),
+    },
+}
+
+
+@pytest.mark.parametrize("variant", ["vs", "va"])
+def test_estimate_pinned_reports(variant):
+    """Exact reports for every regime on a small symmetric and asymmetric pair."""
+    if variant == "vs":
+        text = EncoderConfig("text", 4, 16, 512, 32, 1)
+        san = cm.SanSpec("vs", bottleneck=4, dseq=8, seq_blocks=1, seq_heads=2, seq_len=6)
+    else:
+        text = EncoderConfig("text", 8, 24, 512, 32, 1)
+        san = cm.SanSpec("va", bottleneck=4, dseq=8, seq_blocks=2, seq_heads=2, seq_len=6)
+    image = EncoderConfig("image", 4, 16, 256, 32, 2)
+    for regime, (numbers, trained, traversed) in PINNED[variant].items():
+        r = cm.estimate(text, image, san, regime, batch=4, catalog_items=50)
+        assert (r.fwd_backbone_flops, r.fwd_peft_flops, r.bwd_flops, r.activation_bytes,
+                r.trainable_params, r.cache_bytes) == numbers, regime
+        assert (r.weight_grad_segments, r.traversal_segments) == (trained, traversed), regime
+        assert r.workload == cm.Workload(4, 8, 16, 6, 50)
 
 
 def test_unknown_regime_rejected():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ def test_zero_lr_leaves_parameters_unchanged(tmp_path):
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
                                           rec.iisan.text_plan, rec.iisan.image_plan)
     before = {p.name: p.data.copy() for p in rec.parameters()}
-    cfg = TrainConfig(lr=0.0, batch_size=8, epochs=1, dropout=0.1, seed=1, max_seq_len=6)
+    cfg = TrainConfig(lr=0.0, batch_size=8, epochs=1, dropout=0.1, seed=1)
     recsys.train(rec, split, pop, provider, cfg)
     for p in rec.parameters():
         np.testing.assert_array_equal(p.data, before[p.name])
@@ -345,7 +346,7 @@ def test_same_seed_bit_identical_loss_curves(tmp_path):
         rec = _tiny_rec()
         provider = recsys.EncodeStateProvider(text_enc, image_enc,
                                               rec.iisan.text_plan, rec.iisan.image_plan)
-        cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=5, max_seq_len=6)
+        cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=5)
         curves.append(recsys.train(rec, split, pop, provider, cfg).epoch_losses)
     assert curves[0] == curves[1]
 
@@ -364,7 +365,7 @@ def test_cached_and_uncached_training_are_bit_identical(tmp_path):
     curves = []
     for provider in (cached, uncached):
         rec = _tiny_rec()
-        cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=9, max_seq_len=6)
+        cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=9)
         curves.append(recsys.train(rec, split, pop, provider, cfg).epoch_losses)
     assert curves[0] == curves[1]
 
@@ -397,7 +398,7 @@ def test_training_loss_decreases_on_planted_structure(tmp_path):
                                  seq_blocks=2, seq_heads=2, max_seq_len=10, seed=1)
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
                                           rec.iisan.text_plan, rec.iisan.image_plan)
-    cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=50, dropout=0.1, seed=21, max_seq_len=10)
+    cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=50, dropout=0.1, seed=21)
     result = recsys.train(rec, split, pop, provider, cfg)
     assert result.epoch_losses[-1] < 0.7 * result.epoch_losses[0], result.epoch_losses[::10]
 
@@ -486,3 +487,21 @@ def test_checkpoint_reader_raises_only_format_errors(va_checkpoint, data):
     with pytest.raises(FormatError) as exc:
         recsys.load_rec_checkpoint(path)
     assert exc.value.offset is not None
+
+
+@pytest.mark.parametrize("patch", ["seq_heads=0", "seq_heads=3", "variant=vs"])
+def test_checkpoint_without_a_buildable_model_is_format_error(va_checkpoint, patch):
+    """Header fields that decode but describe no model (no heads, heads not dividing
+    dseq=16, or a symmetric variant over unequal widths) fail at the dimensions block."""
+    raw, _, path = va_checkpoint
+    plans = _va_rec().iisan
+    dims_at = 7 + 2 * 7 + 2 * (plans.text_plan.m + plans.image_plan.m)  # header, two plans
+    damaged = bytearray(raw)
+    if patch == "variant=vs":
+        damaged[6] = 0
+    else:  # seq heads: the u16 after four u32 widths and the u16 block count
+        damaged[dims_at + 18:dims_at + 20] = struct.pack("<H", int(patch[-1]))
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(FormatError) as exc:
+        recsys.load_rec_checkpoint(path)
+    assert exc.value.offset == dims_at
