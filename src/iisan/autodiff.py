@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode differentiation on an explicit tape.
 
 Everything trainable in this package is expressed through this engine.
-Values are row-major numpy arrays, float32 by default (float64 in
-verification mode). While a Tape is active, every operation whose inputs
-require gradients records itself together with a backward closure;
+Values are row-major numpy arrays, float32 by default; float64 appears only
+where a caller casts to it (`finite_difference_check` and acceptance check
+c6). While a Tape is active on the calling thread, every operation whose
+inputs require gradients records itself together with a backward closure;
 `backward` replays the records in exact reverse execution order and
 accumulates gradients additively for shared inputs.
 
@@ -19,6 +20,7 @@ any parameter update mutates them; optimizers step from the returned map.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -105,15 +107,13 @@ class Tape:
         self._scopes: list[str] = []
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if _ACTIVE.get() is not None:
             raise ContractError("a tape is already active; tapes do not nest")
-        _ACTIVE = self
+        self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE
-        _ACTIVE = None
+        _ACTIVE.reset(self._token)
         return False
 
     @contextlib.contextmanager
@@ -131,23 +131,26 @@ class Tape:
         self.entries.append(TapeEntry(out, inputs, back, self.current_scope()))
 
 
-_ACTIVE: Tape | None = None
+# the tape of the running thread (or asyncio task); other threads never see it
+_ACTIVE: contextvars.ContextVar[Tape | None] = contextvars.ContextVar("active_tape", default=None)
 
 
 @contextlib.contextmanager
 def scope(name: str):
     """Label operations recorded inside the block; no-op without a tape."""
-    if _ACTIVE is None:
+    tape = _ACTIVE.get()
+    if tape is None:
         yield
     else:
-        with _ACTIVE.scope(name):
+        with tape.scope(name):
             yield
 
 
 def _emit(out: Tensor, inputs: tuple[Tensor, ...], back) -> Tensor:
-    if _ACTIVE is not None and any(t.requires_grad for t in inputs):
+    tape = _ACTIVE.get()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _ACTIVE.record(out, inputs, back)
+        tape.record(out, inputs, back)
     return out
 
 
@@ -473,29 +476,27 @@ class FdReport:
         return self.max_rel_err < self.tolerance
 
 
-def finite_difference_check(model, loss_fn, step: float = 1e-3,
-                            tolerance: float = 1e-3,
-                            denom_floor: float | None = None) -> FdReport:
+def finite_difference_check(parameters: Sequence[Parameter], loss_fn, step: float = 1e-3,
+                            tolerance: float = 1e-3) -> FdReport:
     """Compare tape gradients with central finite differences, per parameter.
 
     `loss_fn` must evaluate the scalar loss from the current parameter values;
     it is re-invoked for each perturbed evaluation (no tape active there).
-    Tape gradients are taken in the model's own dtype; the difference
+    Tape gradients are taken in the parameters' own dtype; the difference
     evaluations run with every parameter upcast to float64 so the oracle is
     limited by the step, not by evaluation roundoff. Relative error is
-    |g - fd| / max(|g|, |fd|, floor); the floor absorbs representational
-    noise where both values are near zero.
+    |g - fd| / max(|g|, |fd|, floor); the floor (1e-3 for float32, 1e-8 for
+    float64) absorbs representational noise where both values are near zero.
     """
     if step <= 0:
         raise ContractError("finite_difference_check: step must be positive")
-    all_params = list(model) if isinstance(model, (list, tuple)) else list(model.parameters())
+    all_params = list(parameters)
     params = [p for p in all_params if p.trainable]
     report = FdReport(tolerance=tolerance, step=step)
     if not params:
         return report
 
-    if denom_floor is None:
-        denom_floor = 1e-3 if params[0].data.dtype == np.float32 else 1e-8
+    denom_floor = 1e-3 if params[0].data.dtype == np.float32 else 1e-8
 
     with Tape() as tape:
         loss = loss_fn()
@@ -531,13 +532,13 @@ def finite_difference_check(model, loss_fn, step: float = 1e-3,
 class Adam:
     """Adam without weight decay; state kept per parameter name."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-4):
         self.params = {p.name: p for p in parameters if p.trainable}
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}

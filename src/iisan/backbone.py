@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class FrozenEncoder:
     """Deterministic transformer whose weights never receive gradients unless
     explicitly built trainable (the full-fine-tuning regime)."""
 
-    def __init__(self, cfg: EncoderConfig, trainable: bool = False, dtype=np.float32):
+    def __init__(self, cfg: EncoderConfig, trainable: bool = False):
         cfg.validate()
         self.cfg = cfg
         self.fingerprint = fingerprint(cfg)
@@ -65,13 +65,12 @@ class FrozenEncoder:
         h = cfg.hidden_dim
         scale = 1.0 / np.sqrt(h)
         prefix = f"backbone.{cfg.modality}"
-        tok = (rng.standard_normal((cfg.vocab_or_patch_count, h)) * scale).astype(dtype)
-        pos = (rng.standard_normal((cfg.max_positions, h)) * scale).astype(dtype)
+        tok = (rng.standard_normal((cfg.vocab_or_patch_count, h)) * scale).astype(np.float32)
+        pos = (rng.standard_normal((cfg.max_positions, h)) * scale).astype(np.float32)
         self.token_table = Parameter(Tensor(tok), f"{prefix}.tokens", trainable)
         self.pos_table = Parameter(Tensor(pos), f"{prefix}.positions", trainable)
         self.blocks = [
-            TransformerBlock(h, self.heads, f"{prefix}.block{i + 1}", rng,
-                             trainable=trainable, dtype=dtype)
+            TransformerBlock(h, self.heads, f"{prefix}.block{i + 1}", rng, trainable=trainable)
             for i in range(cfg.layers)
         ]
 
@@ -93,21 +92,31 @@ def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
     return ids
 
 
-def encode_item(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
-    """Run the encoder and pool every stage at position 0.
+def forward(enc: FrozenEncoder, tokens: Sequence[int],
+            after_block: Optional[Sequence[Callable[[Tensor], Tensor]]] = None) -> list[Tensor]:
+    """The embedding output, then each block's, under the `backbone.<modality>` scope.
 
-    Returns the (layers + 1, hidden_dim) float32 stack: row 0 is the
-    embedding output, row i the output of block i.
+    `after_block`, one callable per block (an embedded adapter), maps that
+    block's output outside the scope before the next block sees it.
     """
     ids = _check_tokens(enc, tokens)
-    with ad.scope(f"backbone.{enc.cfg.modality}"):
+    name = f"backbone.{enc.cfg.modality}"
+    with ad.scope(name):
         x = ad.add(ad.take_rows(enc.token_table.tensor, ids),
                    ad.take_rows(enc.pos_table.tensor, np.arange(ids.size)))
-        pooled = [x.data[0]]
-        for block in enc.blocks:
+    stages = [x]
+    for i, block in enumerate(enc.blocks):
+        with ad.scope(name):
             x = block(x)  # bidirectional: no mask
-            pooled.append(x.data[0])
-    return np.stack(pooled).astype(np.float32)
+        if after_block is not None:
+            x = after_block[i](x)
+        stages.append(x)
+    return stages
+
+
+def encode_item(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
+    """The (layers + 1, hidden_dim) float32 stack of `forward` pooled at position 0."""
+    return np.stack([x.data[0] for x in forward(enc, tokens)]).astype(np.float32)
 
 
 def item_tokens(cfg: EncoderConfig, item_id: int) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costmodel, recsys
-from .backbone import EncoderConfig, FrozenEncoder, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT
+from .backbone import EncoderConfig, FrozenEncoder, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, fingerprint
 from .cache import CacheStore, build_cache, verify_cache
 from .errors import ConfigError, IisanError, InputError, StalenessError
 from .sanet import MODES, LayerDropPlan, plans_for
@@ -138,6 +139,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("gen.strength must lie in [0, 1]")
     if cfg.text_max_positions < TEXT_TOKEN_COUNT or cfg.image_max_positions < IMAGE_TOKEN_COUNT:
         raise ConfigError("encoder max_positions too small for synthetic item token counts")
+    for name in ("train_batch", "train_epochs", "seq_dim", "seq_blocks", "seq_max_len",
+                 "san_bottleneck", "gen_users", "profile_batch"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1, got {getattr(cfg, name)}")
+    if not (0.0 <= cfg.train_dropout < 1.0):
+        raise ConfigError(f"train.dropout must lie in [0, 1), got {cfg.train_dropout}")
+    if not (math.isfinite(cfg.train_lr) and cfg.train_lr > 0):
+        raise ConfigError(f"train.lr must be finite and positive, got {cfg.train_lr}")
 
 
 def config_lines(cfg: RunConfig) -> list[str]:
@@ -228,16 +237,17 @@ def _build_rec_model(cfg: RunConfig) -> recsys.RecModel:
 
 
 def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPlan):
-    """Item states for the plans of the model being trained or evaluated."""
+    """Item states for the model's plans; only the uncached regime builds encoders."""
     text_cfg, image_cfg = encoder_configs(cfg)
-    text_enc = FrozenEncoder(text_cfg)
-    image_enc = FrozenEncoder(image_cfg)
     if cfg.regime == costmodel.DPEFT_UNCACHED:
-        return recsys.EncodeStateProvider(text_enc, image_enc, text_plan, image_plan)
+        return recsys.EncodeStateProvider(FrozenEncoder(text_cfg), FrozenEncoder(image_cfg),
+                                          text_plan, image_plan)
+    text_cfg.validate()
+    image_cfg.validate()
     text_path, image_path = _cache_paths(cfg)
     try:
-        text_store = CacheStore(text_path, expected_fingerprint=text_enc.fingerprint)
-        image_store = CacheStore(image_path, expected_fingerprint=image_enc.fingerprint)
+        text_store = CacheStore(text_path, expected_fingerprint=fingerprint(text_cfg))
+        image_store = CacheStore(image_path, expected_fingerprint=fingerprint(image_cfg))
     except FileNotFoundError as exc:
         raise StalenessError(
             f"cache file missing ({exc.filename}); run `iisan cache` first") from exc

@@ -34,13 +34,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tape
-from .backbone import IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, item_tokens
+from .backbone import IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, forward, item_tokens
 from .cache import cache_file_size
 from .errors import ConfigError, ContractError
 from .layers import Linear
 from .recsys import (EncodeStateProvider, InteractionDataset, SeqEncoder, batch_windows,
-                     compute_popularity, sequence_loss, split_leave_one_out)
-from .sanet import SanBlock, build_model
+                     compute_popularity, seq_param_count, sequence_loss, split_leave_one_out)
+from .sanet import SanBlock, _sanb_params, build_model, tower_param_count
 
 FFT = "fft"
 EPEFT_ADAPTER = "epeft_adapter"
@@ -104,26 +104,6 @@ def backbone_param_count(cfg: EncoderConfig) -> int:
     h = cfg.hidden_dim
     per_block = 12 * h * h + 13 * h
     return cfg.vocab_or_patch_count * h + cfg.max_positions * h + cfg.layers * per_block
-
-
-def _sanb_params(h: int, d: int) -> int:
-    return 2 * h * d + d + h
-
-
-def tower_param_count(text_dim: int, image_dim: int, m: int, bottleneck: int,
-                      dseq: int, asymmetric: bool) -> int:
-    d = bottleneck
-    intra_text = m * _sanb_params(text_dim, d) + (m - 1)
-    intra_image = m * _sanb_params(image_dim, d) + (m - 1)
-    inter = m * _sanb_params(image_dim, d) + m
-    dtl = (text_dim * image_dim + image_dim) if asymmetric else 0
-    fusion_in = 2 * image_dim + text_dim
-    fusion = fusion_in * dseq + dseq
-    return intra_text + intra_image + inter + dtl + fusion
-
-
-def seq_param_count(dseq: int, blocks: int, max_seq_len: int) -> int:
-    return max_seq_len * dseq + blocks * (12 * dseq * dseq + 13 * dseq) + 2 * dseq
 
 
 def adapter_param_count(text_cfg: EncoderConfig, image_cfg: EncoderConfig, bottleneck: int) -> int:
@@ -321,18 +301,9 @@ def _pooled_item_matrix(encoders, adapters, head, candidates):
     """
     rows = []
     for item_id in candidates:
-        pooled = []
-        for side, enc in enumerate(encoders):
-            ids = np.asarray(item_tokens(enc.cfg, item_id), dtype=np.int64)
-            with ad.scope(f"backbone.{enc.cfg.modality}"):
-                x = ad.add(ad.take_rows(enc.token_table.tensor, ids),
-                           ad.take_rows(enc.pos_table.tensor, np.arange(ids.size)))
-            for i, blk in enumerate(enc.blocks):
-                with ad.scope(f"backbone.{enc.cfg.modality}"):
-                    x = blk(x)
-                if adapters is not None:
-                    x = adapters[side][i](x)
-            pooled.append(ad.take_rows(x, [0]))
+        pooled = [ad.take_rows(forward(enc, item_tokens(enc.cfg, item_id),
+                                       None if adapters is None else adapters[side])[-1], [0])
+                  for side, enc in enumerate(encoders)]
         rows.append(ad.concat_cols(pooled))
     return head(ad.concat_rows(rows))
 

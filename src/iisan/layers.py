@@ -1,9 +1,8 @@
 """Parameterized layers shared by the frozen backbones and the sequential encoder.
 
 Layers hold Parameters and compose engine operations; they carry no state
-beyond their weights. Forward calls are still not safe to run concurrently:
-the tape they record onto is a module global in `autodiff`, so operations on
-another thread land on whichever tape is active.
+beyond their weights. The active tape is a context variable in `autodiff`,
+so a forward call on another thread never records onto this thread's tape.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ class Linear:
     """y = x W + b for 2-d x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed."""
 
     def __init__(self, n_in: int, n_out: int, name: str, rng: np.random.Generator,
-                 trainable: bool = True, zero_init: bool = False, dtype=np.float32):
+                 trainable: bool = True, zero_init: bool = False):
         if zero_init:
-            w = np.zeros((n_in, n_out), dtype=dtype)
+            w = np.zeros((n_in, n_out), dtype=np.float32)
         else:
-            w = (rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)).astype(dtype)
+            w = (rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)).astype(np.float32)
         self.w = Parameter(Tensor(w), f"{name}.w", trainable)
-        self.b = Parameter(Tensor(np.zeros(n_out, dtype=dtype)), f"{name}.b", trainable)
+        self.b = Parameter(Tensor(np.zeros(n_out, dtype=np.float32)), f"{name}.b", trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.bias_add(ad.matmul(x, self.w.tensor), self.b.tensor)
@@ -40,9 +39,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim: int, name: str, trainable: bool = True, dtype=np.float32):
-        self.gain = Parameter(Tensor(np.ones(dim, dtype=dtype)), f"{name}.gain", trainable)
-        self.offset = Parameter(Tensor(np.zeros(dim, dtype=dtype)), f"{name}.offset", trainable)
+    def __init__(self, dim: int, name: str, trainable: bool = True):
+        self.gain = Parameter(Tensor(np.ones(dim, dtype=np.float32)), f"{name}.gain", trainable)
+        self.offset = Parameter(Tensor(np.zeros(dim, dtype=np.float32)), f"{name}.offset", trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.gain.tensor, self.offset.tensor)
@@ -62,7 +61,7 @@ class TransformerBlock:
     """Pre-norm block: multi-head attention and a 4x-wide gelu MLP, both residual."""
 
     def __init__(self, dim: int, heads: int, name: str, rng: np.random.Generator,
-                 trainable: bool = True, dtype=np.float32):
+                 trainable: bool = True):
         if heads < 1:
             raise ConfigError(f"attention needs at least one head, got {heads}")
         if dim % heads != 0:
@@ -70,14 +69,14 @@ class TransformerBlock:
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.ln1 = LayerNorm(dim, f"{name}.ln1", trainable, dtype)
-        self.wq = Linear(dim, dim, f"{name}.wq", rng, trainable, dtype=dtype)
-        self.wk = Linear(dim, dim, f"{name}.wk", rng, trainable, dtype=dtype)
-        self.wv = Linear(dim, dim, f"{name}.wv", rng, trainable, dtype=dtype)
-        self.wo = Linear(dim, dim, f"{name}.wo", rng, trainable, dtype=dtype)
-        self.ln2 = LayerNorm(dim, f"{name}.ln2", trainable, dtype)
-        self.fc1 = Linear(dim, 4 * dim, f"{name}.fc1", rng, trainable, dtype=dtype)
-        self.fc2 = Linear(4 * dim, dim, f"{name}.fc2", rng, trainable, dtype=dtype)
+        self.ln1 = LayerNorm(dim, f"{name}.ln1", trainable)
+        self.wq = Linear(dim, dim, f"{name}.wq", rng, trainable)
+        self.wk = Linear(dim, dim, f"{name}.wk", rng, trainable)
+        self.wv = Linear(dim, dim, f"{name}.wv", rng, trainable)
+        self.wo = Linear(dim, dim, f"{name}.wo", rng, trainable)
+        self.ln2 = LayerNorm(dim, f"{name}.ln2", trainable)
+        self.fc1 = Linear(dim, 4 * dim, f"{name}.fc1", rng, trainable)
+        self.fc2 = Linear(4 * dim, dim, f"{name}.fc2", rng, trainable)
 
     def __call__(self, x: Tensor, attn_mask: Optional[np.ndarray] = None,
                  drop: Optional[Callable[[Tensor], Tensor]] = None) -> Tensor:

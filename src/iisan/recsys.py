@@ -12,6 +12,7 @@ catalog with pessimistic tie-breaking.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -24,7 +25,8 @@ from .backbone import FrozenEncoder, encode_item, item_tokens
 from .cache import CacheStore, _read_exact
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
-from .sanet import MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model
+from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model,
+                    tower_param_count)
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +121,23 @@ def compute_popularity(split: Split) -> dict[int, float]:
 # sequential encoder
 # ---------------------------------------------------------------------------
 
+def seq_param_count(dseq: int, blocks: int, max_seq_len: int) -> int:
+    """Parameters of a `SeqEncoder`, computed without building it."""
+    return max_seq_len * dseq + blocks * (12 * dseq * dseq + 13 * dseq) + 2 * dseq
+
+
 class SeqEncoder:
     """Causal transformer over item embeddings; the last position is the user state."""
 
     def __init__(self, dim: int = 64, blocks: int = 2, heads: int = 2,
-                 max_seq_len: int = 10, seed: int = 0, dtype=np.float32):
+                 max_seq_len: int = 10, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.dim = dim
         self.max_seq_len = max_seq_len
-        pos = (rng.standard_normal((max_seq_len, dim)) * 0.02).astype(dtype)
+        pos = (rng.standard_normal((max_seq_len, dim)) * 0.02).astype(np.float32)
         self.pos_table = Parameter(Tensor(pos), "seq.positions")
-        self.blocks = [TransformerBlock(dim, heads, f"seq.block{i + 1}", rng, dtype=dtype)
-                       for i in range(blocks)]
-        self.ln_out = LayerNorm(dim, "seq.ln_out", dtype=dtype)
+        self.blocks = [TransformerBlock(dim, heads, f"seq.block{i + 1}", rng) for i in range(blocks)]
+        self.ln_out = LayerNorm(dim, "seq.ln_out")
 
     def states(self, item_embs: Tensor, drop=None) -> Tensor:
         """Per-position states for a (s, dim) embedded sequence, causal."""
@@ -301,22 +307,25 @@ def batch_windows(users: Sequence[int], split: Split, max_seq_len: int) -> dict[
     return windows
 
 
+def user_states(seq: SeqEncoder, item_matrix: Tensor, col: Mapping[int, int],
+                windows: Sequence[list[int]], drop=None) -> list[Tensor]:
+    """Per-position states of each item window; `col` maps items to matrix rows."""
+    return [seq.states(ad.take_rows(item_matrix, [col[v] for v in w]), drop) for w in windows]
+
+
 def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int],
                   windows: Mapping[int, list[int]], split: Split,
                   popularity: Mapping[int, float], drop=None) -> Tensor:
     """Next-item loss over every position of every window, against in-batch items."""
+    users = sorted(windows)
     col = {item: i for i, item in enumerate(candidates)}
-    rows = []
+    rows = user_states(seq, item_matrix, col, [windows[u][:-1] for u in users], drop)
     positives: list[int] = []
     owned: list[set[int]] = []
-    for u in sorted(windows):
-        w = windows[u]
-        inputs, targets = w[:-1], w[1:]
-        embs = ad.take_rows(item_matrix, [col[v] for v in inputs])
-        rows.append(seq.states(embs, drop))
-        own = set(split.train[u])
+    for u in users:
+        targets = windows[u][1:]
         positives.extend(targets)
-        owned.extend([own] * len(targets))
+        owned.extend([set(split.train[u])] * len(targets))
     states = ad.concat_rows(rows) if len(rows) > 1 else rows[0]
     logits = ad.matmul(states, ad.transpose(item_matrix))
     return inbatch_debiased_ce(logits, candidates, popularity, positives, owned)
@@ -393,60 +402,50 @@ def rank_pessimistic(scores: np.ndarray, target_col: int) -> int:
     return greater + equal_others + 1
 
 
-def metrics_from_scores(score_rows: Iterable[tuple[np.ndarray, int]], cutoff: int = 10) -> MetricReport:
+def metrics_from_scores(score_rows: Iterable[tuple[np.ndarray, int]]) -> MetricReport:
+    """HR@10 and NDCG@10 over (scores, target column) rows."""
     hrs = []
     ndcgs = []
     for scores, target_col in score_rows:
         rank = rank_pessimistic(scores, target_col)
-        hrs.append(1.0 if rank <= cutoff else 0.0)
-        ndcgs.append(1.0 / math.log2(rank + 1) if rank <= cutoff else 0.0)
+        hrs.append(1.0 if rank <= 10 else 0.0)
+        ndcgs.append(1.0 / math.log2(rank + 1) if rank <= 10 else 0.0)
     if not hrs:
         raise InputError("no users to evaluate")
     return MetricReport(float(np.mean(hrs)), float(np.mean(ndcgs)), len(hrs))
 
 
-def evaluate(rec: RecModel, split: Split, provider, target: str = "test") -> MetricReport:
-    """Full-catalog ranking of each user's held-out item.
+def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
+    """Full-catalog ranking of each user's test item.
 
-    Scoring the test item includes the validation item in the user prefix;
-    scoring the validation item uses the train prefix alone. Prefixes are cut
-    to the model's own window, `rec.seq.max_seq_len`.
+    The user's window is the train prefix plus the validation item, cut to
+    the model's own length, `rec.seq.max_seq_len`.
     """
-    if target not in ("test", "val"):
-        raise ConfigError(f"unknown evaluation target {target!r}")
     catalog = list(split.catalog)
     if not catalog:
         raise InputError("empty catalog")
     col = {item: i for i, item in enumerate(catalog)}
-    targets = split.test if target == "test" else split.val
-    missing = [u for u, v in targets.items() if v not in col]
+    missing = [u for u, v in split.test.items() if v not in col]
     if missing:
-        raise InputError(f"target item of user {missing[0]} is not in the catalog; "
+        raise InputError(f"test item of user {missing[0]} is not in the catalog; "
                          "evaluation would silently leak")
 
     text_states, image_states = provider.batch_states(catalog)
-    item_matrix = rec.iisan.item_embed(text_states, image_states).data
-
-    def rows():
-        for u in sorted(targets):
-            prefix = split.train[u] + ([split.val[u]] if target == "test" else [])
-            window = prefix[-rec.seq.max_seq_len:]
-            embs = Tensor(item_matrix[[col[v] for v in window]])
-            state = rec.seq.states(embs).data[-1]
-            yield item_matrix @ state, col[targets[u]]
-
-    return metrics_from_scores(rows())
+    item_matrix = rec.iisan.item_embed(text_states, image_states)
+    users = sorted(split.test)
+    windows = [(split.train[u] + [split.val[u]])[-rec.seq.max_seq_len:] for u in users]
+    states = user_states(rec.seq, item_matrix, col, windows)
+    return metrics_from_scores((item_matrix.data @ s.data[-1], col[split.test[u]])
+                               for u, s in zip(users, states))
 
 
-def popularity_baseline(split: Split, popularity: Mapping[int, float],
-                        target: str = "test") -> MetricReport:
-    """Rank the catalog by popularity (ties broken by item id) for every user."""
+def popularity_baseline(split: Split, popularity: Mapping[int, float]) -> MetricReport:
+    """Rank the catalog by popularity (ties broken by item id) for every user's test item."""
     catalog = sorted(split.catalog, key=lambda item: (-popularity[item], item))
     col = {item: c for c, item in enumerate(catalog)}
     # minus the position: scores are unique, so the pessimistic rank is the position
     scores = -np.arange(len(catalog), dtype=np.float64)
-    targets = split.test if target == "test" else split.val
-    return metrics_from_scores((scores, col[targets[u]]) for u in sorted(targets))
+    return metrics_from_scores((scores, col[split.test[u]]) for u in sorted(split.test))
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +455,11 @@ def popularity_baseline(split: Split, popularity: Mapping[int, float],
 def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers: int,
                     image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
                     dseq: int = 64, seq_blocks: int = 2, seq_heads: int = 2,
-                    max_seq_len: int = 10, seed: int = 0, dtype=np.float32) -> RecModel:
+                    max_seq_len: int = 10, seed: int = 0) -> RecModel:
     iisan = build_model(variant, text_layers, text_dim, image_layers, image_dim,
-                        text_mode=text_mode, bottleneck=bottleneck, dseq=dseq,
-                        seed=seed, dtype=dtype)
+                        text_mode=text_mode, bottleneck=bottleneck, dseq=dseq, seed=seed)
     seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
-                     max_seq_len=max_seq_len, seed=seed + 1, dtype=dtype)
+                     max_seq_len=max_seq_len, seed=seed + 1)
     return RecModel(iisan, seq)
 
 
@@ -503,7 +501,7 @@ def save_rec_checkpoint(path, rec: RecModel) -> None:
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def load_rec_checkpoint(path, dtype=np.float32) -> RecModel:
+def load_rec_checkpoint(path) -> RecModel:
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
@@ -519,12 +517,23 @@ def load_rec_checkpoint(path, dtype=np.float32) -> RecModel:
         text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
             _DIMS.unpack(_read_exact(f, _DIMS.size, "model dimensions"))
         (total,) = struct.unpack("<Q", _read_exact(f, 8, "parameter count"))
-        blob = _read_exact(f, total * 4, "parameters")
+        # checked before anything is allocated: the count against the one the
+        # header describes, the file size against the count
+        described = (tower_param_count(text_dim, image_dim, text_plan.m, bottleneck, dseq,
+                                       _VARIANTS[variant_code] == VARIANT_ASYMMETRIC)
+                     + seq_param_count(dseq, seq_blocks, max_seq_len))
+        if total != described:
+            raise FormatError(f"parameter count {total} does not match the {described} "
+                              "parameters the header describes", offset=dims_at)
+        end, size = f.tell() + 4 * total, os.fstat(f.fileno()).st_size
+        if size != end:
+            raise FormatError(f"checkpoint has {size} bytes, its header implies {end}",
+                              offset=min(size, end))
+        blob = f.read(4 * total)
     try:
         iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
-                           image_dim, bottleneck, dseq, dtype=dtype)
-        seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
-                         max_seq_len=max_seq_len, dtype=dtype)
+                           image_dim, bottleneck, dseq)
+        seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads, max_seq_len=max_seq_len)
     except ConfigError as exc:
         raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=dims_at) from exc
     rec = RecModel(iisan, seq)
@@ -533,14 +542,9 @@ def load_rec_checkpoint(path, dtype=np.float32) -> RecModel:
 
 
 def assign_parameters(params: Sequence[Parameter], flat: np.ndarray) -> None:
-    """Copy a checkpoint blob into parameters, consuming it in declaration order."""
+    """Copy a checkpoint blob of the checked size into parameters in declaration order."""
     offset = 0
     for p in params:
         n = p.data.size
-        if offset + n > flat.size:
-            raise FormatError("checkpoint has fewer values than the model expects")
         p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(p.data.dtype)
-        p.tensor.requires_grad = p.trainable
         offset += n
-    if offset != flat.size:
-        raise FormatError(f"checkpoint has {flat.size - offset} unconsumed values")

@@ -91,12 +91,28 @@ def select_layers(mode: str, source_layers: int, image_layers: Optional[int] = N
     return LayerDropPlan(mode, source_layers, kept, group_size=k)
 
 
+def _sanb_params(h: int, d: int) -> int:
+    return 2 * h * d + d + h
+
+
+def tower_param_count(text_dim: int, image_dim: int, m: int, bottleneck: int,
+                      dseq: int, asymmetric: bool) -> int:
+    """Parameters of an `IisanModel` with these widths, computed without building it."""
+    d = bottleneck
+    intra_text = m * _sanb_params(text_dim, d) + (m - 1)
+    intra_image = m * _sanb_params(image_dim, d) + (m - 1)
+    inter = m * _sanb_params(image_dim, d) + m
+    dtl = (text_dim * image_dim + image_dim) if asymmetric else 0
+    fusion = (2 * image_dim + text_dim) * dseq + dseq
+    return intra_text + intra_image + inter + dtl + fusion
+
+
 class SanBlock:
     """Bottleneck adapter: x + up(gelu(down(x))). Zero-initialized up makes it the identity."""
 
-    def __init__(self, dim: int, bottleneck: int, name: str, rng: np.random.Generator, dtype=np.float32):
-        self.down = Linear(dim, bottleneck, f"{name}.down", rng, dtype=dtype)
-        self.up = Linear(bottleneck, dim, f"{name}.up", rng, zero_init=True, dtype=dtype)
+    def __init__(self, dim: int, bottleneck: int, name: str, rng: np.random.Generator):
+        self.down = Linear(dim, bottleneck, f"{name}.down", rng)
+        self.up = Linear(bottleneck, dim, f"{name}.up", rng, zero_init=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(x, self.up(ad.gelu(self.down(x))))
@@ -108,8 +124,8 @@ class SanBlock:
 class GateParam:
     """Scalar gate sigmoid(raw); raw starts at 0 so mixing starts balanced."""
 
-    def __init__(self, name: str, dtype=np.float32):
-        self.raw = Parameter(Tensor(np.zeros((), dtype=dtype)), name)
+    def __init__(self, name: str):
+        self.raw = Parameter(Tensor(np.zeros((), dtype=np.float32)), name)
 
     def value(self) -> Tensor:
         return ad.sigmoid(self.raw.tensor)
@@ -129,10 +145,10 @@ class _Tower:
     first_gate: int
 
     def __init__(self, dim: int, bottleneck: int, m: int, name: str,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         self.m = m
-        self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng, dtype) for i in range(1, m + 1)]
-        self.gates = {i: GateParam(f"{name}.gate{i}", dtype) for i in range(self.first_gate, m + 1)}
+        self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng) for i in range(1, m + 1)]
+        self.gates = {i: GateParam(f"{name}.gate{i}") for i in range(self.first_gate, m + 1)}
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -184,7 +200,7 @@ class IisanModel:
 
     def __init__(self, variant: str, text_plan: LayerDropPlan, image_plan: LayerDropPlan,
                  text_dim: int, image_dim: int, bottleneck: int, dseq: int,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0):
         if variant not in (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC):
             raise ConfigError(f"unknown variant {variant!r}")
         if variant == VARIANT_SYMMETRIC and text_dim != image_dim:
@@ -199,18 +215,15 @@ class IisanModel:
         self.image_dim = image_dim
         self.bottleneck = bottleneck
         self.dseq = dseq
-        self.dtype = dtype
         m = text_plan.m
 
         rng = np.random.default_rng(seed)
-        self.intra_text = IntraTower(text_dim, bottleneck, m, "intra_text", rng, dtype)
-        self.intra_image = IntraTower(image_dim, bottleneck, m, "intra_image", rng, dtype)
-        self.inter = InterTower(image_dim, bottleneck, m, "inter", rng, dtype)
+        self.intra_text = IntraTower(text_dim, bottleneck, m, "intra_text", rng)
+        self.intra_image = IntraTower(image_dim, bottleneck, m, "intra_image", rng)
+        self.inter = InterTower(image_dim, bottleneck, m, "inter", rng)
         # dimension transform: aligns the text width to the image width (asymmetric only)
-        self.dtl = (Linear(text_dim, image_dim, "dtl", rng, dtype=dtype)
-                    if variant == VARIANT_ASYMMETRIC else None)
-        self.fusion_in = image_dim + image_dim + text_dim
-        self.fusion = Linear(self.fusion_in, dseq, "fusion", rng, dtype=dtype)
+        self.dtl = Linear(text_dim, image_dim, "dtl", rng) if variant == VARIANT_ASYMMETRIC else None
+        self.fusion = Linear(image_dim + image_dim + text_dim, dseq, "fusion", rng)
 
     @property
     def m(self) -> int:
@@ -259,8 +272,7 @@ def plans_for(variant: str, text_layers: int, image_layers: int,
 
 def build_model(variant: str, text_layers: int, text_dim: int, image_layers: int, image_dim: int,
                 text_mode: Optional[str] = None, bottleneck: int = 16, dseq: int = 64,
-                seed: int = 0, dtype=np.float32) -> IisanModel:
+                seed: int = 0) -> IisanModel:
     """Construct towers from encoder shapes, with plans from `plans_for`."""
     text_plan, image_plan = plans_for(variant, text_layers, image_layers, text_mode)
-    return IisanModel(variant, text_plan, image_plan, text_dim, image_dim,
-                      bottleneck, dseq, seed=seed, dtype=dtype)
+    return IisanModel(variant, text_plan, image_plan, text_dim, image_dim, bottleneck, dseq, seed=seed)

@@ -190,10 +190,9 @@ def _param_class(name: str) -> str:
 
 def _fd_world(dtype):
     rec = recsys.build_rec_model("va", 6, 6, 4, 4, bottleneck=2, dseq=4,
-                                 seq_blocks=1, seq_heads=1, max_seq_len=5,
-                                 seed=3, dtype=dtype)
+                                 seq_blocks=1, seq_heads=1, max_seq_len=5, seed=3)
     rng = np.random.default_rng(60)
-    for p in rec.parameters():
+    for p in rec.parameters():  # every parameter, so the model runs in `dtype`
         p.tensor.data = (rng.normal(size=p.data.shape) * 0.3).astype(dtype)
     m = rec.iisan.m
     text = [Tensor((rng.normal(size=(3, 6))).astype(dtype)) for _ in range(m + 1)]

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,30 @@ def test_tape_scopes_label_entries():
         loss = ad.sum_all(hidden)
     assert [e.scope for e in tape.entries] == ["backbone", ""]
     assert len([e for e in tape.entries if e.scope.startswith("backbone")]) == 1
+
+
+def test_tape_records_only_its_own_thread():
+    w = _param(np.eye(2), "w")
+    thread_tapes = []
+
+    def matmuls():
+        for _ in range(200):
+            ad.matmul(w.tensor, w.tensor)
+
+    def worker():
+        matmuls()  # no tape is active on this thread
+        with Tape() as own:  # and it may start its own
+            matmuls()
+        thread_tapes.append(own)
+
+    with Tape() as tape:
+        thread = threading.Thread(target=worker)
+        thread.start()
+        matmuls()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(tape.entries) == 200
+    assert [len(t.entries) for t in thread_tapes] == [200]
+    with pytest.raises(ContractError):
+        with Tape(), Tape():
+            pass

@@ -188,3 +188,45 @@ def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):
     for command in ("cache", "train"):
         assert main([command, "--out", out, *args]) == 2
         _error_line(capsys, "config error:")
+
+
+@pytest.fixture(scope="module")
+def cached_run(tmp_path_factory):
+    """An output directory holding SMALL's interactions and caches."""
+    out = str(tmp_path_factory.mktemp("cached"))
+    assert main(["gen", "--out", out, *SMALL]) == 0
+    assert main(["cache", "--out", out, *SMALL]) == 0
+    return out
+
+
+@pytest.mark.parametrize("setting", [
+    "train.batch=0", "train.epochs=0", "seq.dim=0", "seq.blocks=0", "seq.max_len=0",
+    "san.bottleneck=0", "gen.users=0", "profile.batch=0", "train.dropout=1.0",
+    "train.dropout=-0.5", "train.lr=nan", "train.lr=inf", "train.lr=0"])
+def test_meaningless_setting_is_config_error(cached_run, capsys, setting):
+    capsys.readouterr()
+    assert main(["train", "--out", cached_run, *SMALL, "--set", setting]) == 2
+    assert _error_line(capsys, "config error:").startswith(f"config error: {setting.split('=')[0]}")
+
+
+def test_cached_regime_builds_no_encoder(cached_run, capsys, monkeypatch):
+    """Cached train and eval need only the encoders' fingerprints: with the
+    encoder class disabled they print the same lines, and a width the encoder
+    would reject is still a config error."""
+    def lines():
+        assert main(["train", "--out", cached_run, *SMALL]) == 0
+        assert main(["eval", "--out", cached_run, *SMALL]) == 0
+        return re.findall(r"^(?:LOSS|METRICS) .*$", capsys.readouterr().out, re.M)
+
+    capsys.readouterr()
+    expected = lines()
+
+    def no_encoder(*args, **kwargs):
+        raise AssertionError("the cached regime built an encoder")
+
+    monkeypatch.setattr(cli, "FrozenEncoder", no_encoder)
+    assert lines() == expected and len(expected) == 3
+    for command in ("train", "eval"):
+        odd = [*SMALL, "--set", "variant=va", "--set", "text.hidden=3"]
+        assert main([command, "--out", cached_run, *odd]) == 2
+        _error_line(capsys, "config error:")

@@ -505,3 +505,25 @@ def test_checkpoint_without_a_buildable_model_is_format_error(va_checkpoint, pat
     with pytest.raises(FormatError) as exc:
         recsys.load_rec_checkpoint(path)
     assert exc.value.offset == dims_at
+
+
+@pytest.mark.parametrize("patch", ["count=2**63", "text_dim=10**9", "8 bytes appended"])
+def test_checkpoint_sizes_are_checked_before_allocation(va_checkpoint, patch):
+    """The parameter count must be the one the header describes and the file must
+    end with the last parameter; both are FormatErrors before any allocation."""
+    raw, _, path = va_checkpoint
+    plans = _va_rec().iisan
+    dims_at = 7 + 2 * 7 + 2 * (plans.text_plan.m + plans.image_plan.m)
+    count_at = dims_at + 22  # after four u32 widths and three u16 seq fields
+    damaged, offset = bytearray(raw), dims_at
+    if patch == "count=2**63":
+        damaged[count_at:count_at + 8] = struct.pack("<Q", 2 ** 63)
+    elif patch == "text_dim=10**9":
+        damaged[dims_at:dims_at + 4] = struct.pack("<I", 10 ** 9)
+    else:
+        damaged += bytes(8)
+        offset = len(raw)
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(FormatError) as exc:
+        recsys.load_rec_checkpoint(path)
+    assert exc.value.offset == offset
