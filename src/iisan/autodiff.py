@@ -104,7 +104,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        self._scopes: list[str] = []
+        self.scope = ""  # dotted names of the open `scope` blocks
 
     def __enter__(self) -> "Tape":
         if _ACTIVE.get() is not None:
@@ -115,20 +115,6 @@ class Tape:
     def __exit__(self, *exc):
         _ACTIVE.reset(self._token)
         return False
-
-    @contextlib.contextmanager
-    def scope(self, name: str):
-        self._scopes.append(name)
-        try:
-            yield
-        finally:
-            self._scopes.pop()
-
-    def current_scope(self) -> str:
-        return ".".join(self._scopes)
-
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], back) -> None:
-        self.entries.append(TapeEntry(out, inputs, back, self.current_scope()))
 
 
 # the tape of the running thread (or asyncio task); other threads never see it
@@ -141,16 +127,20 @@ def scope(name: str):
     tape = _ACTIVE.get()
     if tape is None:
         yield
-    else:
-        with tape.scope(name):
-            yield
+        return
+    outer = tape.scope
+    tape.scope = f"{outer}.{name}" if outer else name
+    try:
+        yield
+    finally:
+        tape.scope = outer
 
 
 def _emit(out: Tensor, inputs: tuple[Tensor, ...], back) -> Tensor:
     tape = _ACTIVE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, inputs, back)
+        tape.entries.append(TapeEntry(out, inputs, back, tape.scope))
     return out
 
 
@@ -335,15 +325,8 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, axis=0)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, axis=1)
-
-
-def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join 2-d tensors along `axis`: 0 stacks rows, 1 places columns side by side."""
     parts = list(parts)
     if not parts:
         raise ContractError("concat: empty part list")
@@ -465,7 +448,6 @@ class FdReport:
 
     per_param: dict[str, float] = field(default_factory=dict)
     tolerance: float = 1e-3
-    step: float = 1e-3
 
     @property
     def max_rel_err(self) -> float:
@@ -492,7 +474,7 @@ def finite_difference_check(parameters: Sequence[Parameter], loss_fn, step: floa
         raise ContractError("finite_difference_check: step must be positive")
     all_params = list(parameters)
     params = [p for p in all_params if p.trainable]
-    report = FdReport(tolerance=tolerance, step=step)
+    report = FdReport(tolerance=tolerance)
     if not params:
         return report
 

@@ -35,6 +35,7 @@ from .errors import ConfigError, FormatError, InputError, NotFoundError, Stalene
 MAGIC = b"IISC"
 VERSION = 1
 _FIXED_HEADER = struct.Struct("<4sHQIH")  # magic, version, fingerprint, item_count, kept_count
+ITEM_ID_LIMIT = 1 << 64  # record ids are u64
 
 
 def header_size(kept_count: int) -> int:

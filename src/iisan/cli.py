@@ -3,8 +3,9 @@
 Configuration is line-oriented `key = value` text with `#` comments; flags
 override file values, which override defaults. Every command echoes the
 resolved config and its hash so reports are reproducible. Exit statuses:
-0 success, 2 config error, 3 input error, 4 stale artifact, 5 failed
-ordering verdict.
+0 success, 2 config error, 3 input error (including a file that is missing
+or cannot be read), 4 stale artifact (including a missing cache file), 5
+failed ordering verdict.
 """
 
 from __future__ import annotations
@@ -139,10 +140,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("gen.strength must lie in [0, 1]")
     if cfg.text_max_positions < TEXT_TOKEN_COUNT or cfg.image_max_positions < IMAGE_TOKEN_COUNT:
         raise ConfigError("encoder max_positions too small for synthetic item token counts")
-    for name in ("train_batch", "train_epochs", "seq_dim", "seq_blocks", "seq_max_len",
-                 "san_bottleneck", "gen_users", "profile_batch"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= 1, got {getattr(cfg, name)}")
+    for least, names in ((1, ("train_batch", "train_epochs", "seq_dim", "seq_blocks", "seq_max_len",
+                              "san_bottleneck", "gen_users", "profile_batch")),
+                         (0, ("seed", "text_seed", "image_seed"))):
+        for name in names:
+            if getattr(cfg, name) < least:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= {least}, got {getattr(cfg, name)}")
     if not (0.0 <= cfg.train_dropout < 1.0):
         raise ConfigError(f"train.dropout must lie in [0, 1), got {cfg.train_dropout}")
     if not (math.isfinite(cfg.train_lr) and cfg.train_lr > 0):
@@ -258,7 +261,7 @@ def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPla
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     spec = SyntheticSpec(cfg.gen_users, cfg.gen_items, cfg.gen_strength,
                          cfg.gen_min_len, cfg.gen_max_len, cfg.seed)
@@ -267,7 +270,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cache(cfg: RunConfig) -> int:
+def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     dataset = recsys.load_interactions(cfg.data)
     text_cfg, image_cfg = encoder_configs(cfg)
@@ -288,7 +291,7 @@ def cmd_cache(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     dataset = recsys.load_interactions(cfg.data)
     split = recsys.split_leave_one_out(dataset)
@@ -312,7 +315,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, baseline: bool = False) -> int:
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     if not Path(cfg.checkpoint).exists():
         raise InputError(f"checkpoint {cfg.checkpoint} not found; run `iisan train` first")
@@ -324,7 +327,7 @@ def cmd_eval(cfg: RunConfig, baseline: bool = False) -> int:
     report = recsys.evaluate(rec, split, provider)
     print(f"EVAL users={report.evaluated_user_count} dropped={split.dropped_users}")
     print(report.machine_line())
-    if baseline:
+    if args.baseline:
         popularity = recsys.compute_popularity(split)
         base = recsys.popularity_baseline(split, popularity)
         print(f"BASELINE hr10={base.hr_at_10:.6f} ndcg10={base.ndcg_at_10:.6f} "
@@ -332,7 +335,7 @@ def cmd_eval(cfg: RunConfig, baseline: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     text_cfg, image_cfg = encoder_configs(cfg)
     san = costmodel.SanSpec(variant=cfg.variant, bottleneck=cfg.san_bottleneck,
@@ -354,15 +357,21 @@ def cmd_profile(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# every command runs on the resolved config and the parsed flags
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic interaction file"),
+    "cache": (cmd_cache, "encode the catalog and write hidden-state caches"),
+    "train": (cmd_train, "train the towers and sequential encoder"),
+    "eval": (cmd_eval, "rank held-out items over the full catalog"),
+    "profile": (cmd_profile, "print per-regime cost estimates and the ordering verdict"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="iisan", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("gen", "generate a synthetic interaction file"),
-                            ("cache", "encode the catalog and write hidden-state caches"),
-                            ("train", "train the towers and sequential encoder"),
-                            ("eval", "rank held-out items over the full catalog"),
-                            ("profile", "print per-regime cost estimates and the ordering verdict")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--seed", type=int, help="override the run seed")
@@ -391,25 +400,14 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         cfg = build_config(file_values, overrides)
         _resolve_paths(cfg)
-
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "cache":
-            return cmd_cache(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, baseline=args.baseline)
-        if args.command == "profile":
-            return cmd_profile(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StalenessError as exc:
         print(f"stale artifact: {exc}", file=sys.stderr)
         return EXIT_STALE
-    except IisanError as exc:
+    except (IisanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

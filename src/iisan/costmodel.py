@@ -209,13 +209,13 @@ _EXPECTED_ORDER = (DPEFT_CACHED, DPEFT_UNCACHED, EPEFT_ADAPTER, FFT)
 @dataclass
 class Comparison:
     lines: list[str]
-    verdict: Optional[str]  # "PASS" | "FAIL" | None for a degenerate table
+    verdict: str  # "PASS" | "FAIL"
 
 
 def compare(reports: Sequence[CostReport]) -> Comparison:
     """Tabulate reports over one workload and check the expected regime ordering."""
-    if not reports:
-        raise ContractError("compare: no reports")
+    if len(reports) < 2:
+        raise ContractError(f"compare: an ordering needs at least two reports, got {len(reports)}")
     wl = reports[0].workload
     if any(r.workload != wl for r in reports):
         raise ContractError("compare: reports cover different workloads")
@@ -225,9 +225,6 @@ def compare(reports: Sequence[CostReport]) -> Comparison:
     for r in sorted(reports, key=lambda r: (r.activation_bytes, r.bwd_flops)):
         lines.append(f"{r.regime:<16}{r.fwd_backbone_flops:>16}{r.fwd_peft_flops:>14}"
                      f"{r.bwd_flops:>16}{r.activation_bytes:>14}{r.trainable_params:>12}{r.cache_bytes:>12}")
-
-    if len(reports) < 2:
-        return Comparison(lines, None)
 
     by_regime = {r.regime: r for r in reports}
     present = [by_regime[name] for name in _EXPECTED_ORDER if name in by_regime]
@@ -304,8 +301,8 @@ def _pooled_item_matrix(encoders, adapters, head, candidates):
         pooled = [ad.take_rows(forward(enc, item_tokens(enc.cfg, item_id),
                                        None if adapters is None else adapters[side])[-1], [0])
                   for side, enc in enumerate(encoders)]
-        rows.append(ad.concat_cols(pooled))
-    return head(ad.concat_rows(rows))
+        rows.append(ad.concat(pooled, 1))
+    return head(ad.concat(rows, 0))
 
 
 def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> ProbeReport:

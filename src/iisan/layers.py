@@ -94,7 +94,7 @@ class TransformerBlock:
             if mask_t is not None:
                 scores = ad.add(scores, mask_t)
             outs.append(ad.matmul(ad.softmax_rows(scores), vh))
-        attn = self.wo(ad.concat_cols(outs))
+        attn = self.wo(ad.concat(outs, 1))
         if drop is not None:
             attn = drop(attn)
         x = ad.add(x, attn)

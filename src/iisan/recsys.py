@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Parameter, Tape, Tensor
 from .backbone import FrozenEncoder, encode_item, item_tokens
-from .cache import CacheStore, _read_exact
+from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
 from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model,
@@ -45,7 +45,8 @@ class InteractionDataset:
 
 
 def load_interactions(path) -> InteractionDataset:
-    """Parse `user_id<TAB>item_id[ item_id]*` lines."""
+    """Parse `user_id<TAB>item_id[ item_id]*` lines, one line per user; item ids
+    lie in [0, 2^64), the range a cache record can hold."""
     users: dict[int, list[int]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -60,6 +61,11 @@ def load_interactions(path) -> InteractionDataset:
                 raise InputError(f"{path}:{lineno}: malformed interaction line") from exc
             if not items:
                 raise InputError(f"{path}:{lineno}: user {user} has no items")
+            if user in users:
+                raise InputError(f"{path}:{lineno}: user {user} is listed on an earlier line")
+            bad = next((v for v in items if not 0 <= v < ITEM_ID_LIMIT), None)
+            if bad is not None:
+                raise InputError(f"{path}:{lineno}: item id {bad} is outside [0, 2^64)")
             users[user] = items
     if not users:
         raise InputError(f"{path}: no interactions")
@@ -166,21 +172,17 @@ class SeqEncoder:
 # loss
 # ---------------------------------------------------------------------------
 
-def _take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
-    return ad.transpose(ad.take_rows(ad.transpose(x), idx))
-
-
 def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
                         popularity: Mapping[int, float],
                         positives: Sequence[int],
                         owned: Sequence[set[int]]) -> Tensor:
     """In-batch debiased cross-entropy.
 
-    `logits` is (terms, candidates) with columns aligned to `candidates`.
-    Each term's denominator keeps its positive plus every in-batch item the
-    user never interacted with; logits are shifted by -log(popularity).
-    Candidates are reduced to canonical ascending item-id order before the
-    stabilized summation, so negative order cannot change the value.
+    `logits` is (terms, candidates) with columns aligned to `candidates`,
+    which must be strictly ascending item ids, so the stabilized summation
+    runs in one order whoever builds the batch. Each term's denominator keeps
+    its positive plus every in-batch item the user never interacted with;
+    logits are shifted by -log(popularity).
     """
     t = len(positives)
     if t < 1:
@@ -192,30 +194,24 @@ def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
                             f"{t} terms x {len(candidates)} candidates")
     if not np.isfinite(logits.data).all():
         raise ContractError("inbatch_debiased_ce: non-finite logit")
+    if any(a >= b for a, b in zip(candidates, candidates[1:])):
+        raise ContractError("inbatch_debiased_ce: candidates are not strictly ascending item ids")
 
-    order = np.argsort(np.asarray(candidates, dtype=np.int64), kind="stable")
-    sorted_items = [candidates[i] for i in order]
-    if len(set(sorted_items)) != len(sorted_items):
-        raise ContractError("inbatch_debiased_ce: duplicate candidate items")
-    if list(order) != list(range(len(candidates))):
-        logits = _take_cols(logits, order)
-
-    pops = np.array([popularity[i] for i in sorted_items], dtype=np.float64)
+    pops = np.array([popularity[i] for i in candidates], dtype=np.float64)
     if (pops <= 0).any():
         raise InputError("inbatch_debiased_ce: popularity must be positive for every candidate")
     log_p = Tensor(np.log(pops).astype(logits.data.dtype))
     adjusted = ad.bias_add(logits, ad.scale(log_p, -1.0))
 
-    col = {item: i for i, item in enumerate(sorted_items)}
+    col = {item: i for i, item in enumerate(candidates)}
     pos_cols = np.empty(t, dtype=np.int64)
-    allowed = np.zeros((t, len(sorted_items)), dtype=bool)
+    allowed = np.ones((t, len(candidates)), dtype=bool)
     for row, (pos, own) in enumerate(zip(positives, owned)):
         if pos not in col:
             raise ContractError(f"inbatch_debiased_ce: positive {pos} not among candidates")
-        for j, item in enumerate(sorted_items):
-            allowed[row, j] = item not in own
         pos_cols[row] = col[pos]
-        allowed[row, pos_cols[row]] = True
+        allowed[row, [col[item] for item in own if item in col]] = False
+    allowed[np.arange(t), pos_cols] = True
     return ad.masked_softmax_ce(adjusted, allowed, pos_cols)
 
 
@@ -239,12 +235,10 @@ class EncodeStateProvider:
         self.image_layers = list(image_plan.cache_layers())
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
-        return (_stack_batch(self._encode_all(self.text_encoder, self.text_layers, item_ids)),
-                _stack_batch(self._encode_all(self.image_encoder, self.image_layers, item_ids)))
-
-    @staticmethod
-    def _encode_all(enc: FrozenEncoder, layers: list[int], item_ids) -> list[np.ndarray]:
-        return [encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]
+        text, image = ([encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]
+                       for enc, layers in ((self.text_encoder, self.text_layers),
+                                           (self.image_encoder, self.image_layers)))
+        return _stack_batch(text), _stack_batch(image)
 
 
 class CachedStateProvider:
@@ -326,14 +320,13 @@ def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int
         targets = windows[u][1:]
         positives.extend(targets)
         owned.extend([set(split.train[u])] * len(targets))
-    states = ad.concat_rows(rows) if len(rows) > 1 else rows[0]
-    logits = ad.matmul(states, ad.transpose(item_matrix))
+    logits = ad.matmul(ad.concat(rows, 0), ad.transpose(item_matrix))
     return inbatch_debiased_ce(logits, candidates, popularity, positives, owned)
 
 
 def train_step(rec: RecModel, users: Sequence[int], split: Split,
                popularity: Mapping[int, float], provider, cfg: TrainConfig,
-               opt: Optional[Adam], dropout_rng: Optional[np.random.Generator]) -> float:
+               opt: Adam, dropout_rng: np.random.Generator) -> float:
     """One optimizer step over a batch of users; returns the batch loss.
 
     Windows are cut to the model's own length, `rec.seq.max_seq_len`.
@@ -341,17 +334,11 @@ def train_step(rec: RecModel, users: Sequence[int], split: Split,
     windows = batch_windows(users, split, rec.seq.max_seq_len)
     candidates = sorted({item for w in windows.values() for item in w})
     text_states, image_states = provider.batch_states(candidates)
-
-    drop = None
-    if dropout_rng is not None and cfg.dropout > 0:
-        drop = lambda t: dropout(t, cfg.dropout, dropout_rng)
-
     with Tape() as tape:
         item_matrix = rec.iisan.item_embed(text_states, image_states)
-        loss = sequence_loss(rec.seq, item_matrix, candidates, windows, split, popularity, drop)
-    if opt is not None:
-        grads = ad.backward(tape, loss, rec.parameters())
-        opt.step(grads)
+        loss = sequence_loss(rec.seq, item_matrix, candidates, windows, split, popularity,
+                             lambda t: dropout(t, cfg.dropout, dropout_rng))
+    opt.step(ad.backward(tape, loss, rec.parameters()))
     return float(loss.data)
 
 
@@ -537,14 +524,9 @@ def load_rec_checkpoint(path) -> RecModel:
     except ConfigError as exc:
         raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=dims_at) from exc
     rec = RecModel(iisan, seq)
-    assign_parameters(rec.parameters(), np.frombuffer(blob, dtype="<f4").astype(np.float32))
-    return rec
-
-
-def assign_parameters(params: Sequence[Parameter], flat: np.ndarray) -> None:
-    """Copy a checkpoint blob of the checked size into parameters in declaration order."""
-    offset = 0
-    for p in params:
+    flat, offset = np.frombuffer(blob, dtype="<f4"), 0
+    for p in rec.parameters():  # declaration order, as saved
         n = p.data.size
-        p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(p.data.dtype)
+        p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(np.float32)
         offset += n
+    return rec

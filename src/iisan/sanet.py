@@ -234,7 +234,7 @@ class IisanModel:
         e_text = self.intra_text(text_states)
         e_image = self.intra_image(image_states)
         e_inter = self.inter(text_states, image_states, self.dtl)
-        return self.fusion(ad.concat_cols([e_image, e_inter, e_text]))
+        return self.fusion(ad.concat([e_image, e_inter, e_text], 1))
 
     def parameters(self) -> list[Parameter]:
         out = []

@@ -149,7 +149,7 @@ def test_slice_and_concat_roundtrip_gradients():
     def loss_fn():
         left = ad.slice_cols(x.tensor, 0, 2)
         right = ad.slice_cols(x.tensor, 2, 4)
-        return ad.sum_all(ad.concat_cols([right, left]))
+        return ad.sum_all(ad.concat([right, left], 1))
 
     grads = _grad_of(loss_fn, [x])
     np.testing.assert_array_equal(grads["x"], np.ones((3, 4), dtype=np.float32))

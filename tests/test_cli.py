@@ -190,6 +190,17 @@ def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):
         _error_line(capsys, "config error:")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("cache", []),  # before `gen` wrote the interactions
+    ("gen", ["--config", "missing.cfg"]),
+    ("cache", ["--set", "data=."]),  # a directory
+], ids=["train-before-gen", "cache-before-gen", "missing-config", "data-is-directory"])
+def test_unreadable_file_is_input_error(tmp_path, capsys, monkeypatch, command, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", str(tmp_path / "run"), *SMALL, *extra]) == 3
+    _error_line(capsys, "error:")
+
+
 @pytest.fixture(scope="module")
 def cached_run(tmp_path_factory):
     """An output directory holding SMALL's interactions and caches."""
@@ -202,7 +213,8 @@ def cached_run(tmp_path_factory):
 @pytest.mark.parametrize("setting", [
     "train.batch=0", "train.epochs=0", "seq.dim=0", "seq.blocks=0", "seq.max_len=0",
     "san.bottleneck=0", "gen.users=0", "profile.batch=0", "train.dropout=1.0",
-    "train.dropout=-0.5", "train.lr=nan", "train.lr=inf", "train.lr=0"])
+    "train.dropout=-0.5", "train.lr=nan", "train.lr=inf", "train.lr=0",
+    "seed=-1", "text.seed=-1", "image.seed=-1"])
 def test_meaningless_setting_is_config_error(cached_run, capsys, setting):
     capsys.readouterr()
     assert main(["train", "--out", cached_run, *SMALL, "--set", setting]) == 2

@@ -148,12 +148,11 @@ def test_compare_pass_on_defaults():
     assert any("regime" in line for line in comparison.lines)
 
 
-def test_compare_single_report_degenerate():
+def test_compare_single_report_is_contract_error():
     text, image = _cfgs()
     only = cm.estimate(text, image, cm.SanSpec(), cm.FFT)
-    comparison = cm.compare([only])
-    assert comparison.verdict is None
-    assert len(comparison.lines) == 2
+    with pytest.raises(ContractError, match="at least two reports"):
+        cm.compare([only])
 
 
 def test_compare_detects_violation():

@@ -1,4 +1,4 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""Every module of the package, its tests and its benchmark uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "iisan").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [path for part in ("src/iisan", "tests", "perfbench") for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

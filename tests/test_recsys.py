@@ -78,6 +78,17 @@ def test_interactions_roundtrip(tmp_path):
     assert ds.catalog == (5, 6, 7, 8, 9)
 
 
+@pytest.mark.parametrize("second", ["2\t3 -5 4", f"2\t3 {2**64} 4", "1\t7 8 9"],
+                         ids=["negative-item", "item-2**64", "repeated-user"])
+def test_interactions_must_fit_the_cache_format(tmp_path, second):
+    path = tmp_path / "it.tsv"
+    path.write_text(f"1\t{2**64 - 1} 0 1\n{second}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"{path}:2: "):
+        recsys.load_interactions(path)
+    path.write_text(f"1\t{2**64 - 1} 0 1\n", encoding="utf-8")
+    assert recsys.load_interactions(path).catalog == (0, 1, 2**64 - 1)
+
+
 # --- sequential encoder ---------------------------------------------------------
 
 def test_seq_causal_mask_property():
@@ -175,6 +186,8 @@ def test_loss_matches_oracle_on_random_batches():
         for k in range(t):
             own = {i for i in items if rng.uniform() < 0.4}
             own.add(positives[k])
+            # a user's history also holds items outside this batch's candidates
+            own.update(int(i) for i in rng.integers(100, 200, size=int(rng.integers(0, 3))))
             owned.append(own)
         loss = float(inbatch_debiased_ce(Tensor(logits), items, pop, positives, owned).data)
         expected = _oracle_loss(logits, items, pop, positives, owned)
@@ -182,18 +195,16 @@ def test_loss_matches_oracle_on_random_batches():
     assert worst < 1e-6, worst
 
 
-def test_loss_permutation_invariance():
-    rng = np.random.default_rng(9)
-    items = [4, 9, 17, 23, 31]
-    pop = {i: float(rng.uniform(0.05, 0.5)) for i in items}
-    logits = rng.normal(size=(3, 5)).astype(np.float32)
-    positives = [9, 17, 4]
-    owned = [{9, 31}, {17}, {4, 23}]
-    base = float(inbatch_debiased_ce(Tensor(logits), items, pop, positives, owned).data)
-    perm = [3, 0, 4, 2, 1]
-    shuffled = [items[i] for i in perm]
-    loss = float(inbatch_debiased_ce(Tensor(logits[:, perm]), shuffled, pop, positives, owned).data)
-    assert loss == base  # bit-identical after canonicalization
+def test_loss_requires_ascending_candidates():
+    logits = Tensor(np.zeros((2, 5), dtype=np.float32))
+    for items in ([4, 17, 9, 23, 31], [4, 9, 9, 23, 31]):  # unsorted, duplicate
+        pop = {i: 0.2 for i in items}
+        with pytest.raises(ContractError, match="strictly ascending"):
+            inbatch_debiased_ce(logits, items, pop, [9, 4], [{9}, {4}])
+    # any id a cache record holds, above 2^63 too
+    big = Tensor(np.array([[1.3, 1.3]], dtype=np.float32))
+    loss = inbatch_debiased_ce(big, [3, 2**64 - 1], {3: 0.5, 2**64 - 1: 0.5}, [3], [{3}])
+    assert float(loss.data) == pytest.approx(math.log(2.0), rel=1e-6)
 
 
 def test_loss_debias_direction():
