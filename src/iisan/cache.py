@@ -9,7 +9,7 @@ File layout, all little-endian:
     kept_layer_count m  u16
     kept_layer_indices  m x u16  (0 = embedding output; strictly increasing)
     hidden_dim H        u32
-    records             item_count x { item_id u64, payload m*H float32, layer-major }
+    records             item_count x _record_dtype(m, H): item_id u64, then payload (m, H) float32
 
 Records are sorted by item_id; payloads are the training dtype (float32), so
 cached and recomputed states are bit-identical. Files are immutable after
@@ -42,8 +42,12 @@ def header_size(kept_count: int) -> int:
     return _FIXED_HEADER.size + 2 * kept_count + 4
 
 
+def _record_dtype(kept_count: int, hidden_dim: int) -> np.dtype:
+    return np.dtype([("id", "<u8"), ("payload", "<f4", (kept_count, hidden_dim))])
+
+
 def record_size(kept_count: int, hidden_dim: int) -> int:
-    return 8 + kept_count * hidden_dim * 4
+    return _record_dtype(kept_count, hidden_dim).itemsize
 
 
 def cache_file_size(item_count: int, kept_count: int, hidden_dim: int) -> int:
@@ -85,19 +89,17 @@ def write_cache(path, fingerprint: int, kept_layers: Sequence[int], hidden_dim: 
     kept = _check_kept_layers(kept_layers)
     m = len(kept)
     rows = sorted(stacks, key=lambda r: r[0])
-    ids = [r[0] for r in rows]
-    if len(set(ids)) != len(ids):
+    bad = next((states.shape for _, states in rows if states.shape != (m, hidden_dim)), None)
+    if bad is not None:
+        raise InputError(f"stack shape {bad} does not match ({m}, {hidden_dim})")
+    records = np.array(rows, _record_dtype(m, hidden_dim))
+    if (records["id"][1:] == records["id"][:-1]).any():
         raise InputError("duplicate item ids in cache input")
     path = Path(path)
     with open(path, "wb") as f:
         f.write(_FIXED_HEADER.pack(MAGIC, VERSION, fingerprint, len(rows), m))
-        f.write(struct.pack(f"<{m}H", *kept))
-        f.write(struct.pack("<I", hidden_dim))
-        for item_id, states in rows:
-            if states.shape != (m, hidden_dim):
-                raise InputError(f"stack shape {states.shape} does not match ({m}, {hidden_dim})")
-            f.write(struct.pack("<Q", item_id))
-            f.write(np.ascontiguousarray(states, dtype="<f4").tobytes())
+        f.write(struct.pack(f"<{m}HI", *kept, hidden_dim))
+        records.tofile(f)
     return CacheSummary(str(path), len(rows), cache_file_size(len(rows), m, hidden_dim),
                         fingerprint, kept)
 
@@ -108,12 +110,8 @@ def build_cache(encoder: FrozenEncoder, items: Sequence[int], keep_layers: Seque
     if len(items) == 0:
         raise InputError("no items to cache")
     kept = _check_kept_layers(keep_layers, upper=encoder.cfg.layers + 1)
-
-    def rows():
-        for item_id in items:
-            yield item_id, encode_item(encoder, item_tokens(encoder.cfg, item_id))[list(kept)]
-
-    return write_cache(path, encoder.fingerprint, kept, encoder.cfg.hidden_dim, rows())
+    rows = ((i, encode_item(encoder, item_tokens(encoder.cfg, i))[list(kept)]) for i in items)
+    return write_cache(path, encoder.fingerprint, kept, encoder.cfg.hidden_dim, rows)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -137,15 +135,17 @@ def _open_records(path: Path) -> tuple[CacheHeader, np.memmap]:
             raise FormatError(f"kept layer indices must be non-empty and strictly increasing, "
                               f"got {kept}", offset=_FIXED_HEADER.size)
         (hidden_dim,) = struct.unpack("<I", _read_exact(f, 4, "hidden dim"))
+    try:  # numpy caps a record at 2^31 bytes
+        dtype = _record_dtype(m, hidden_dim)
+    except ValueError as exc:
+        raise FormatError(f"records of {m} x {hidden_dim} floats are too large", offset=header_size(m) - 4) from exc
     header = CacheHeader(fp, count, kept, hidden_dim)
     expected = cache_file_size(count, m, hidden_dim)
     actual = path.stat().st_size
     if actual != expected:
         raise FormatError(f"record count/size mismatch: file has {actual} bytes, "
                           f"header implies {expected}", offset=min(actual, expected))
-    records = np.memmap(path, mode="r",
-                        dtype=np.dtype([("id", "<u8"), ("payload", "<f4", (m, hidden_dim))]),
-                        offset=header_size(m), shape=(count,))
+    records = np.memmap(path, mode="r", dtype=dtype, offset=header_size(m), shape=(count,))
     ids = records["id"]
     unsorted = np.flatnonzero(ids[1:] <= ids[:-1])
     if unsorted.size:
@@ -156,7 +156,7 @@ def _open_records(path: Path) -> tuple[CacheHeader, np.memmap]:
 
 
 class CacheStore:
-    """Random access over an immutable cache file via an in-memory offset index."""
+    """Random access over an immutable cache file by binary search over its ascending id column."""
 
     def __init__(self, path, expected_fingerprint: int | None = None):
         self.path = Path(path)
@@ -165,14 +165,23 @@ class CacheStore:
             raise StalenessError(
                 f"cache {self.path} was built by encoder {self.header.encoder_fingerprint:#x}, "
                 f"expected {expected_fingerprint:#x}; rebuild the cache")
-        self._index = {rec_id: i for i, rec_id in enumerate(self._records["id"].tolist())}
+        self._ids = np.ascontiguousarray(self._records["id"])  # else searchsorted copies it per call
+
+    def read_items(self, item_ids: Sequence[int]) -> np.ndarray:
+        """The items' (items, kept layers, hidden_dim) float32 states, in the order asked."""
+        try:  # as u64: a query of Python ints or int64 would be searched as float64
+            query = np.asarray(item_ids, dtype=np.uint64)
+        except OverflowError as exc:
+            raise NotFoundError(f"an item id outside [0, 2^64) is not present in cache {self.path}") from exc
+        rows = np.searchsorted(self._ids, query)
+        held = np.searchsorted(self._ids, query, side="right") > rows
+        if not held.all():
+            raise NotFoundError(f"item {query[~held][0]} not present in cache {self.path}")
+        return np.asarray(self._records["payload"][rows], dtype=np.float32)
 
     def read_item(self, item_id: int) -> np.ndarray:
         """The item's (kept layers, hidden_dim) float32 states."""
-        i = self._index.get(int(item_id))
-        if i is None:
-            raise NotFoundError(f"item {item_id} not present in cache {self.path}")
-        return np.array(self._records[i]["payload"], dtype=np.float32)
+        return self.read_items([item_id])[0]
 
 
 @dataclass
@@ -196,11 +205,7 @@ def verify_cache(path) -> VerifyReport:
         header, records = _open_records(path)
     except FormatError as exc:
         return VerifyReport(str(path), False, [str(exc)])
-    issues: list[str] = []
-    if header.item_count:
-        sample_step = max(1, header.item_count // max(1, math.ceil(header.item_count * 0.01)))
-        for i in range(0, header.item_count, sample_step):
-            if not np.isfinite(records[i]["payload"]).all():
-                issues.append(f"non-finite payload in record for item {int(records[i]['id'])}")
-                break
+    sample = records[::max(1, header.item_count // max(1, math.ceil(header.item_count * 0.01)))]
+    bad = sample["id"][~np.isfinite(sample["payload"]).all(axis=(1, 2))]
+    issues = [f"non-finite payload in record for item {int(bad[0])}"] if bad.size else []
     return VerifyReport(str(path), not issues, issues, header.item_count)

@@ -146,6 +146,9 @@ def _validate(cfg: RunConfig) -> None:
         for name in names:
             if getattr(cfg, name) < least:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= {least}, got {getattr(cfg, name)}")
+    for name in ("seq_max_len", "seq_blocks", "seq_heads", "text_layers", "image_layers"):
+        if getattr(cfg, name) > recsys.U16_MAX:  # the checkpoint and cache store these as u16
+            raise ConfigError(f"{_FIELD_TO_KEY[name]} must be <= {recsys.U16_MAX}, got {getattr(cfg, name)}")
     if not (0.0 <= cfg.train_dropout < 1.0):
         raise ConfigError(f"train.dropout must lie in [0, 1), got {cfg.train_dropout}")
     if not (math.isfinite(cfg.train_lr) and cfg.train_lr > 0):

@@ -26,7 +26,7 @@ from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
 from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model,
-                    tower_param_count)
+                    plans_for, tower_param_count)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +229,12 @@ class EncodeStateProvider:
                 raise StalenessError(
                     f"{enc.cfg.modality} plan was derived for {plan.source_layers} layers, "
                     f"the encoder has {enc.cfg.layers}")
-        self.text_encoder = text_encoder
-        self.image_encoder = image_encoder
-        self.text_layers = list(text_plan.cache_layers())
-        self.image_layers = list(image_plan.cache_layers())
+        self.sides = ((text_encoder, list(text_plan.cache_layers())),
+                      (image_encoder, list(image_plan.cache_layers())))
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
-        text, image = ([encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]
-                       for enc, layers in ((self.text_encoder, self.text_layers),
-                                           (self.image_encoder, self.image_layers)))
-        return _stack_batch(text), _stack_batch(image)
+        return tuple(_layer_tensors(np.stack([encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]))
+                     for enc, layers in self.sides)
 
 
 class CachedStateProvider:
@@ -251,17 +247,15 @@ class CachedStateProvider:
                 raise StalenessError(
                     f"{side} cache keeps layers {store.header.kept_layers}, the plan needs "
                     f"{plan.cache_layers()}; rebuild the cache")
-        self.text_store = text_store
-        self.image_store = image_store
+        self.stores = (text_store, image_store)
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
-        return (_stack_batch([self.text_store.read_item(i) for i in item_ids]),
-                _stack_batch([self.image_store.read_item(i) for i in item_ids]))
+        return tuple(_layer_tensors(store.read_items(item_ids)) for store in self.stores)
 
 
-def _stack_batch(stacks: list[np.ndarray]) -> list[Tensor]:
-    layers = stacks[0].shape[0]
-    return [Tensor(np.stack([s[j] for s in stacks])) for j in range(layers)]
+def _layer_tensors(states: np.ndarray) -> list[Tensor]:
+    """One (items, hidden_dim) Tensor per kept layer of an (items, kept, hidden_dim) array."""
+    return [Tensor(states[:, j]) for j in range(states.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +449,7 @@ CHECKPOINT_VERSION = 1
 _VARIANTS = (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC)  # index = on-disk code
 _PLAN_HEAD = struct.Struct("<BHHH")  # mode code, source layers, m, group size (0 = none)
 _DIMS = struct.Struct("<IIIIHHH")  # text, image, bottleneck, dseq, seq blocks, heads, max_seq_len
+U16_MAX = 0xFFFF  # largest layer count, seq block count, head count or max_seq_len a u16 field holds
 
 
 def _pack_plan(plan: LayerDropPlan) -> bytes:
@@ -476,14 +471,14 @@ def save_rec_checkpoint(path, rec: RecModel) -> None:
     image plans, the model dimensions, then the parameter count u64 and every
     parameter as float32 in declaration order."""
     iisan, params = rec.iisan, rec.parameters()
+    # packed before the file is opened: a field that does not fit leaves the old file whole
+    header = b"".join((CHECKPOINT_MAGIC, struct.pack("<HB", CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant)),
+                       _pack_plan(iisan.text_plan), _pack_plan(iisan.image_plan),
+                       _DIMS.pack(iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
+                                  len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len),
+                       struct.pack("<Q", sum(p.data.size for p in params))))
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<HB", CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant)))
-        f.write(_pack_plan(iisan.text_plan))
-        f.write(_pack_plan(iisan.image_plan))
-        f.write(_DIMS.pack(iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
-                           len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len))
-        f.write(struct.pack("<Q", sum(p.data.size for p in params)))
+        f.write(header)
         for p in params:
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
@@ -518,6 +513,11 @@ def load_rec_checkpoint(path) -> RecModel:
                               offset=min(size, end))
         blob = f.read(4 * total)
     try:
+        derived = plans_for(_VARIANTS[variant_code], text_plan.source_layers, image_plan.source_layers,
+                            text_plan.mode)
+        if derived != (text_plan, image_plan):  # eval would read the wrong layers, or none
+            raise FormatError(f"stored layer-drop plans differ from the ones derived for the "
+                              f"variant and depths: {derived}", offset=7)
         iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
                            image_dim, bottleneck, dseq)
         seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads, max_seq_len=max_seq_len)

@@ -5,6 +5,8 @@ import pytest
 
 from iisan import backbone as bb
 from iisan import cache
+from iisan.recsys import CachedStateProvider
+from iisan.sanet import select_layers
 from iisan.errors import ConfigError, FormatError, InputError, NotFoundError, StalenessError, VersionError
 
 
@@ -75,8 +77,48 @@ def test_read_absent_item(tmp_path):
     path = tmp_path / "c.iisc"
     cache.write_cache(path, 7, [0, 1], 4, _random_rows(3, 2, 4))
     store = cache.CacheStore(path)
-    with pytest.raises(NotFoundError):
+    with pytest.raises(NotFoundError, match="item 999 "):
         store.read_item(999)
+    with pytest.raises(NotFoundError, match="item 999 "):  # one absent id fails the whole batch
+        store.read_items([2, 999, 0])
+    for absent in (-1, 2 ** 64):  # no u64 record holds these
+        with pytest.raises(NotFoundError):
+            store.read_item(absent)
+    cache.write_cache(path, 7, [0, 1], 4, [])
+    empty = cache.CacheStore(path)
+    for ids in ([0], [2, 0], [2 ** 64 - 1]):
+        with pytest.raises(NotFoundError):
+            empty.read_items(ids)
+
+
+def test_ids_beyond_float64_precision_read_back_exactly(tmp_path):
+    """A u64 id column searched with float64 would take 2^53 + 1 for 2^53."""
+    big = [2 ** 53, 2 ** 53 + 1, 2 ** 64 - 1]
+    rows = [(item_id, np.full((3, 4), k, dtype=np.float32)) for k, item_id in enumerate([5, *big])]
+    paths = [tmp_path / f"{side}.iisc" for side in ("text", "image")]
+    for path in paths:
+        cache.write_cache(path, 7, [0, 2, 4], 4, rows)
+    text, image = (cache.CacheStore(path) for path in paths)
+    expected = np.stack([np.full((3, 4), k, dtype=np.float32) for k in (1, 2, 3)])
+    np.testing.assert_array_equal(text.read_items(big), expected)
+    np.testing.assert_array_equal(text.read_items(big[1::-1]), expected[1::-1])  # ids that fit an int64
+    np.testing.assert_array_equal(np.stack([text.read_item(i) for i in big]), expected)
+    plan = select_layers("symmetric_even", 4)  # caches layers (0, 2, 4)
+    for states in CachedStateProvider(text, image, plan, plan).batch_states(big):
+        for j, layer in enumerate(states):
+            np.testing.assert_array_equal(layer.data, expected[:, j])
+
+
+def test_read_items_keeps_the_order_asked(tmp_path):
+    path = tmp_path / "c.iisc"
+    rows = _random_rows(40, 2, 4)
+    cache.write_cache(path, 7, [0, 1], 4, rows)
+    store = cache.CacheStore(path)
+    ids = [int(i) for i in np.random.default_rng(3).permutation(40)[:25]]
+    states = store.read_items(ids)
+    assert states.dtype == np.float32 and states.shape == (25, 2, 4)
+    np.testing.assert_array_equal(states, np.stack([store.read_item(i) for i in ids]))
+    np.testing.assert_array_equal(states, np.stack([rows[i][1] for i in ids]))
 
 
 def test_wrong_fingerprint_is_stale(tmp_path):
@@ -180,6 +222,16 @@ def test_store_rejects_ids_out_of_order(tmp_path, ids):
     report = cache.verify_cache(path)
     assert not report.ok
     assert any("ascending" in issue for issue in report.issues)
+
+
+@pytest.mark.parametrize("hidden_dim", [2 ** 31, 2 ** 29], ids=["dim-beyond-c-int", "record-beyond-2GiB"])
+def test_store_rejects_records_numpy_cannot_describe(tmp_path, hidden_dim):
+    hidden_at = cache.header_size(2) - 4
+    path = _patched(tmp_path, [(hidden_at, struct.pack("<I", hidden_dim))])
+    with pytest.raises(FormatError) as exc:
+        cache.CacheStore(path)
+    assert exc.value.offset == hidden_at
+    assert not cache.verify_cache(path).ok
 
 
 def test_store_rejects_kept_layers_out_of_order(tmp_path):

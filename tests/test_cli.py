@@ -1,10 +1,11 @@
 import re
+import struct
 
 import pytest
 
-from iisan import cli
+from iisan import cli, recsys
 from iisan.cli import SyntheticSpec, build_config, config_hash, generate_synthetic, main
-from iisan.errors import ConfigError
+from iisan.errors import ConfigError, FormatError
 
 
 SMALL = [
@@ -178,6 +179,42 @@ def test_eval_uses_checkpoint_plans_and_window(tmp_path, capsys):
     _error_line(capsys, "stale artifact:")
     assert main(["eval", "--out", out, *deeper, "--set", "regime=dpeft_uncached"]) == 4
     _error_line(capsys, "stale artifact:")
+
+
+def test_setting_beyond_a_u16_field_is_config_error_and_keeps_the_checkpoint(tmp_path, capsys):
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "regime=dpeft_uncached", "--set", "train.epochs=1"]
+    assert main(["gen", "--out", out, *args]) == 0
+    assert main(["train", "--out", out, *args]) == 0
+    good = (tmp_path / "model.ckpt").read_bytes()
+    for setting in ("seq.max_len=70000", "seq.blocks=65536", "seq.heads=65536",
+                    "text.layers=65536", "image.layers=65536"):
+        capsys.readouterr()
+        assert main(["train", "--out", out, *args, "--set", setting]) == 2
+        assert _error_line(capsys, "config error:").startswith(f"config error: {setting.split('=')[0]}")
+        assert (tmp_path / "model.ckpt").read_bytes() == good
+
+
+@pytest.mark.parametrize("kept", [(2, 200), (2, 1)], ids=["index-beyond-encoder", "indices-out-of-order"])
+def test_checkpoint_plans_not_derived_for_the_model_are_format_errors(tmp_path, capsys, kept):
+    """A vs 4x16 checkpoint keeps text blocks (2, 4); other stored indices would make
+    eval read layers the encoder lacks, or the wrong ones."""
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "regime=dpeft_uncached", "--set", "train.epochs=1"]
+    assert main(["gen", "--out", out, *args]) == 0
+    assert main(["train", "--out", out, *args]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    kept_at = 7 + 7  # after magic, version and variant, then the text plan's fixed fields
+    assert struct.unpack_from("<2H", raw, kept_at) == (2, 4)
+    struct.pack_into("<2H", raw, kept_at, *kept)
+    ckpt.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as exc:
+        recsys.load_rec_checkpoint(ckpt)
+    assert exc.value.offset == 7
+    capsys.readouterr()
+    assert main(["eval", "--out", out, *args]) == 3
+    assert "byte offset 7" in _error_line(capsys, "error:")
 
 
 def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):

@@ -462,6 +462,17 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_header_that_cannot_be_packed_leaves_the_old_checkpoint(tmp_path):
+    rec = _va_rec()
+    path = tmp_path / "m.ckpt"
+    recsys.save_rec_checkpoint(path, rec)
+    good = path.read_bytes()
+    rec.seq.max_seq_len = recsys.U16_MAX + 1
+    with pytest.raises(struct.error):
+        recsys.save_rec_checkpoint(path, rec)
+    assert path.read_bytes() == good
+
+
 @pytest.fixture(scope="module")
 def va_checkpoint(tmp_path_factory):
     """Bytes of a va/asym_grouped checkpoint, the offsets of its code bytes, and a
