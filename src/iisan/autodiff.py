@@ -10,8 +10,8 @@ accumulates gradients additively for shared inputs.
 
 Broadcasting is deliberately restricted: binary elementwise operations
 accept scalar-with-tensor or equal shapes only. Richer patterns (bias rows,
-row gathers, column slices) are separate operations with their own exact
-backward rules, which keeps the correctness surface small.
+row gathers, multi-head attention) are separate operations with their own
+exact backward rules, which keeps the correctness surface small.
 
 Tape entries reference the live input arrays, so `backward` must run before
 any parameter update mutates them; optimizers step from the returned map.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -202,16 +203,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _emit(out, (a, b), back)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * a.dtype.type(c))
-
-    def back(og):
-        return (og * a.dtype.type(c),)
-
-    return _emit(out, (a,), back)
-
-
 def one_minus(a: Tensor) -> Tensor:
     """1 - a, used for the complementary side of a gate."""
     out = Tensor(a.dtype.type(1.0) - a.data)
@@ -295,19 +286,6 @@ def transpose(x: Tensor) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise DimensionError(f"slice_cols: [{start}:{stop}] invalid for {x.shape}")
-    out = Tensor(np.ascontiguousarray(x.data[:, start:stop]))
-
-    def back(og):
-        g = np.zeros_like(x.data)
-        g[:, start:stop] = og
-        return (g,)
-
-    return _emit(out, (x,), back)
-
-
 def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows by index; backward scatter-adds (rows may repeat)."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -344,18 +322,46 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _emit(out, tuple(parts), back)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction stabilization."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y.astype(x.dtype))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None) -> Tensor:
+    """Multi-head scaled dot-product attention over (s, h) queries, keys and values.
+
+    Head i owns columns [i h/heads, (i+1) h/heads) and computes the row softmax
+    of q_i k_i^T / sqrt(h/heads) + mask, times v_i; `mask` is an additive (s, s)
+    array or None. The heads' outputs sit side by side.
+    """
+    if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[1] % heads
+            or (mask is not None and np.shape(mask) != (q.shape[0],) * 2)):
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, mask {np.shape(mask)} "
+                             f"and {heads} heads do not fit")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=q.dtype)
+    d = q.shape[1] // heads
+    c = q.dtype.type(1.0 / math.sqrt(d))
+    cols = [slice(i * d, (i + 1) * d) for i in range(heads)]
+    saved, outs = [], []
+    for col in cols:  # contiguous q_i, k_i^T and v_i per head
+        qh, kt, vh = (np.ascontiguousarray(x) for x in (q.data[:, col], k.data[:, col].T, v.data[:, col]))
+        z = (qh @ kt) * c
+        if mask is not None:
+            z = z + mask
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        p = (e / e.sum(axis=-1, keepdims=True)).astype(q.dtype)
+        saved.append((qh, kt, vh, p))
+        outs.append(p @ vh)
+    out = Tensor(np.concatenate(outs, axis=1))
 
     def back(og):
-        dot = (og * out.data).sum(axis=-1, keepdims=True)
-        return ((og - dot) * out.data,)
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for col, (qh, kt, vh, p) in zip(cols, saved):
+            oh = np.ascontiguousarray(og[:, col])
+            dp = oh @ vh.T
+            dv[:, col] = p.T @ oh
+            dz = ((dp - (dp * p).sum(axis=-1, keepdims=True)) * p) * c
+            dq[:, col] = dz @ kt.T
+            dk[:, col] = (qh.T @ dz).T
+        return dq, dk, dv
 
-    return _emit(out, (x,), back)
+    return _emit(out, (q, k, v), back)
 
 
 def sum_all(x: Tensor) -> Tensor:

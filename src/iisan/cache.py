@@ -13,15 +13,18 @@ File layout, all little-endian:
 
 Records are sorted by item_id; payloads are the training dtype (float32), so
 cached and recomputed states are bit-identical. Files are immutable after
-build; any number of readers may open them concurrently. Every reader opens
-a file through one check of the header, the file size and the record ids,
-so a file whose kept layers or ids are not strictly increasing (unsorted or
-duplicate ids) is rejected with a FormatError before any record is served.
+build and appear whole or not at all; any number of readers may open them
+concurrently. Every reader opens a file through one check of the header, the
+file size and the record ids, so a file whose kept layers or ids are not
+strictly increasing (unsorted or duplicate ids) is rejected with a
+FormatError before any record is served.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,6 +86,22 @@ def _check_kept_layers(kept: Sequence[int], upper: int | None = None) -> tuple[i
     return kept
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a temporary binary file beside `path` for writing. It replaces `path`
+    when the block ends, and is removed if the block raises, so readers see the
+    old file or the whole new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_cache(path, fingerprint: int, kept_layers: Sequence[int], hidden_dim: int,
                 stacks: Iterable[tuple[int, np.ndarray]]) -> CacheSummary:
     """Write pruned stacks to `path`; records are sorted by item id."""
@@ -96,10 +115,10 @@ def write_cache(path, fingerprint: int, kept_layers: Sequence[int], hidden_dim: 
     if (records["id"][1:] == records["id"][:-1]).any():
         raise InputError("duplicate item ids in cache input")
     path = Path(path)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_FIXED_HEADER.pack(MAGIC, VERSION, fingerprint, len(rows), m))
         f.write(struct.pack(f"<{m}HI", *kept, hidden_dim))
-        records.tofile(f)
+        f.write(records)  # not tofile: it drops a short write (numpy 2.4) and reports success
     return CacheSummary(str(path), len(rows), cache_file_size(len(rows), m, hidden_dim),
                         fingerprint, kept)
 

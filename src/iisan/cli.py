@@ -21,7 +21,7 @@ import numpy as np
 
 from . import costmodel, recsys
 from .backbone import EncoderConfig, FrozenEncoder, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, fingerprint
-from .cache import CacheStore, build_cache, verify_cache
+from .cache import CacheStore, atomic_write, build_cache, verify_cache
 from .errors import ConfigError, IisanError, InputError, StalenessError
 from .sanet import MODES, LayerDropPlan, plans_for
 
@@ -242,18 +242,25 @@ def _build_rec_model(cfg: RunConfig) -> recsys.RecModel:
         seq_heads=cfg.seq_heads, max_seq_len=cfg.seq_max_len, seed=cfg.seed)
 
 
+def _fingerprints(cfg: RunConfig) -> tuple[int, int]:
+    """The (text, image) encoder fingerprints, once both encoder configs are valid."""
+    configs = encoder_configs(cfg)
+    for enc_cfg in configs:
+        enc_cfg.validate()
+    return fingerprint(configs[0]), fingerprint(configs[1])
+
+
 def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPlan):
     """Item states for the model's plans; only the uncached regime builds encoders."""
-    text_cfg, image_cfg = encoder_configs(cfg)
     if cfg.regime == costmodel.DPEFT_UNCACHED:
+        text_cfg, image_cfg = encoder_configs(cfg)
         return recsys.EncodeStateProvider(FrozenEncoder(text_cfg), FrozenEncoder(image_cfg),
                                           text_plan, image_plan)
-    text_cfg.validate()
-    image_cfg.validate()
+    text_fp, image_fp = _fingerprints(cfg)
     text_path, image_path = _cache_paths(cfg)
     try:
-        text_store = CacheStore(text_path, expected_fingerprint=fingerprint(text_cfg))
-        image_store = CacheStore(image_path, expected_fingerprint=fingerprint(image_cfg))
+        text_store = CacheStore(text_path, expected_fingerprint=text_fp)
+        image_store = CacheStore(image_path, expected_fingerprint=image_fp)
     except FileNotFoundError as exc:
         raise StalenessError(
             f"cache file missing ({exc.filename}); run `iisan cache` first") from exc
@@ -306,11 +313,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     result = recsys.train(rec, split, popularity, provider, tc)
 
     curve_path = Path(cfg.out) / "loss_curve.tsv"
-    with open(curve_path, "w", encoding="utf-8") as f:
-        f.write(f"# config_hash={config_hash(cfg)}\n")
+    with atomic_write(curve_path) as f:
+        f.write(f"# config_hash={config_hash(cfg)}\n".encode())
         for epoch, loss in enumerate(result.epoch_losses, 1):
-            f.write(f"{epoch}\t{loss:.9f}\n")
-    recsys.save_rec_checkpoint(cfg.checkpoint, rec)
+            f.write(f"{epoch}\t{loss:.9f}\n".encode())
+    recsys.save_rec_checkpoint(cfg.checkpoint, rec, _fingerprints(cfg))
 
     for epoch, loss in enumerate(result.epoch_losses, 1):
         print(f"LOSS epoch={epoch} value={loss:.9f}")
@@ -322,7 +329,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     if not Path(cfg.checkpoint).exists():
         raise InputError(f"checkpoint {cfg.checkpoint} not found; run `iisan train` first")
-    rec = recsys.load_rec_checkpoint(cfg.checkpoint)
+    rec = recsys.load_rec_checkpoint(cfg.checkpoint, _fingerprints(cfg))
     dataset = recsys.load_interactions(cfg.data)
     split = recsys.split_leave_one_out(dataset)
     # plans and window come from the checkpoint; the provider checks them against the encoders

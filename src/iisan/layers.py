@@ -68,7 +68,6 @@ class TransformerBlock:
             raise ConfigError(f"hidden dim {dim} is not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.ln1 = LayerNorm(dim, f"{name}.ln1", trainable)
         self.wq = Linear(dim, dim, f"{name}.wq", rng, trainable)
         self.wk = Linear(dim, dim, f"{name}.wk", rng, trainable)
@@ -81,20 +80,7 @@ class TransformerBlock:
     def __call__(self, x: Tensor, attn_mask: Optional[np.ndarray] = None,
                  drop: Optional[Callable[[Tensor], Tensor]] = None) -> Tensor:
         h = self.ln1(x)
-        q, k, v = self.wq(h), self.wk(h), self.wv(h)
-        mask_t = Tensor(attn_mask.astype(x.dtype)) if attn_mask is not None else None
-        outs = []
-        inv_sqrt = 1.0 / math.sqrt(self.head_dim)
-        for i in range(self.heads):
-            lo, hi = i * self.head_dim, (i + 1) * self.head_dim
-            qh = ad.slice_cols(q, lo, hi)
-            kh = ad.slice_cols(k, lo, hi)
-            vh = ad.slice_cols(v, lo, hi)
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-            if mask_t is not None:
-                scores = ad.add(scores, mask_t)
-            outs.append(ad.matmul(ad.softmax_rows(scores), vh))
-        attn = self.wo(ad.concat(outs, 1))
+        attn = self.wo(ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, attn_mask))
         if drop is not None:
             attn = drop(attn)
         x = ad.add(x, attn)

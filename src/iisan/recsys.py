@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Parameter, Tape, Tensor
 from .backbone import FrozenEncoder, encode_item, item_tokens
-from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact
+from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact, atomic_write
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
 from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model,
@@ -200,8 +200,7 @@ def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
     pops = np.array([popularity[i] for i in candidates], dtype=np.float64)
     if (pops <= 0).any():
         raise InputError("inbatch_debiased_ce: popularity must be positive for every candidate")
-    log_p = Tensor(np.log(pops).astype(logits.data.dtype))
-    adjusted = ad.bias_add(logits, ad.scale(log_p, -1.0))
+    adjusted = ad.bias_add(logits, Tensor(-np.log(pops).astype(logits.data.dtype)))
 
     col = {item: i for i, item in enumerate(candidates)}
     pos_cols = np.empty(t, dtype=np.int64)
@@ -445,7 +444,7 @@ def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers:
 
 
 CHECKPOINT_MAGIC = b"IISM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _VARIANTS = (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC)  # index = on-disk code
 _PLAN_HEAD = struct.Struct("<BHHH")  # mode code, source layers, m, group size (0 = none)
 _DIMS = struct.Struct("<IIIIHHH")  # text, image, bottleneck, dseq, seq blocks, heads, max_seq_len
@@ -466,24 +465,27 @@ def _unpack_plan(f) -> LayerDropPlan:
     return LayerDropPlan(MODES[mode_code], src, tuple(kept), group_size=k or None)
 
 
-def save_rec_checkpoint(path, rec: RecModel) -> None:
-    """IISM v1, little-endian: magic, version u16, variant u8, the text and
-    image plans, the model dimensions, then the parameter count u64 and every
-    parameter as float32 in declaration order."""
+def save_rec_checkpoint(path, rec: RecModel, encoder_fingerprints: tuple[int, int]) -> None:
+    """IISM v2, little-endian: magic, version u16, variant u8, the text and
+    image plans, the model dimensions, the parameter count u64, the text and
+    image encoder fingerprints u64 each, then every parameter as float32 in
+    declaration order. The file appears whole or not at all."""
     iisan, params = rec.iisan, rec.parameters()
     # packed before the file is opened: a field that does not fit leaves the old file whole
     header = b"".join((CHECKPOINT_MAGIC, struct.pack("<HB", CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant)),
                        _pack_plan(iisan.text_plan), _pack_plan(iisan.image_plan),
                        _DIMS.pack(iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
                                   len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len),
-                       struct.pack("<Q", sum(p.data.size for p in params))))
-    with open(path, "wb") as f:
+                       struct.pack("<QQQ", sum(p.data.size for p in params), *encoder_fingerprints)))
+    with atomic_write(path) as f:
         f.write(header)
         for p in params:
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def load_rec_checkpoint(path) -> RecModel:
+def load_rec_checkpoint(path, expected_fingerprints: tuple[int, int]) -> RecModel:
+    """The checkpoint's model, if it was trained on items from the encoders with
+    the expected (text, image) fingerprints; else a StalenessError."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
@@ -499,6 +501,7 @@ def load_rec_checkpoint(path) -> RecModel:
         text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
             _DIMS.unpack(_read_exact(f, _DIMS.size, "model dimensions"))
         (total,) = struct.unpack("<Q", _read_exact(f, 8, "parameter count"))
+        fingerprints = struct.unpack("<QQ", _read_exact(f, 16, "encoder fingerprints"))
         # checked before anything is allocated: the count against the one the
         # header describes, the file size against the count
         described = (tower_param_count(text_dim, image_dim, text_plan.m, bottleneck, dseq,
@@ -523,6 +526,11 @@ def load_rec_checkpoint(path) -> RecModel:
         seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads, max_seq_len=max_seq_len)
     except ConfigError as exc:
         raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=dims_at) from exc
+    if fingerprints != tuple(expected_fingerprints):
+        raise StalenessError(
+            f"checkpoint {path} was trained on encoders {fingerprints[0]:#x}/{fingerprints[1]:#x} "
+            f"(text/image), expected {expected_fingerprints[0]:#x}/{expected_fingerprints[1]:#x}; "
+            "retrain, or set the encoders it was trained with")
     rec = RecModel(iisan, seq)
     flat, offset = np.frombuffer(blob, dtype="<f4"), 0
     for p in rec.parameters():  # declaration order, as saved

@@ -6,6 +6,7 @@ import pytest
 from iisan import autodiff as ad
 from iisan.autodiff import Adam, Parameter, Tape, Tensor
 from iisan.errors import ContractError, DimensionError
+from iisan.layers import TransformerBlock, causal_mask
 
 
 def _param(data, name, trainable=True, dtype=np.float32):
@@ -143,27 +144,51 @@ def test_take_rows_scatter_adds_repeats():
     np.testing.assert_array_equal(grads["table"], expected)
 
 
-def test_slice_and_concat_roundtrip_gradients():
-    x = _param(np.arange(12, dtype=np.float32).reshape(3, 4), "x")
+def test_concat_routes_gradients_to_each_part():
+    left = _param(np.arange(6, dtype=np.float32).reshape(3, 2), "left")
+    right = _param(np.arange(6, 12, dtype=np.float32).reshape(3, 2), "right")
+    weights = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
+
+    grads = _grad_of(lambda: ad.sum_all(ad.mul(ad.concat([right.tensor, left.tensor], 1), weights)),
+                     [left, right])
+    np.testing.assert_array_equal(grads["right"], weights.data[:, :2])
+    np.testing.assert_array_equal(grads["left"], weights.data[:, 2:])
+
+
+@pytest.mark.parametrize("heads", [2, 4])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+def test_attention_gradient_vs_finite_differences(heads, masked):
+    rng = np.random.default_rng(0)
+    q, k, v = (_param(rng.normal(size=(5, 8)), name, dtype=np.float64) for name in "qkv")
+    weights = Tensor(rng.normal(size=(5, 8)), dtype=np.float64)
+    mask = causal_mask(5) if masked else None
 
     def loss_fn():
-        left = ad.slice_cols(x.tensor, 0, 2)
-        right = ad.slice_cols(x.tensor, 2, 4)
-        return ad.sum_all(ad.concat([right, left], 1))
+        out = ad.attention(q.tensor, k.tensor, v.tensor, heads, mask)
+        return ad.sum_all(ad.mul(out, weights))
 
-    grads = _grad_of(loss_fn, [x])
-    np.testing.assert_array_equal(grads["x"], np.ones((3, 4), dtype=np.float32))
-
-
-def test_softmax_rows_and_gradient():
-    rng = np.random.default_rng(3)
-    x = _param(rng.normal(size=(5, 7)), "x")
-    y = ad.softmax_rows(x.tensor)
-    np.testing.assert_allclose(y.data.sum(axis=1), np.ones(5), rtol=1e-5)
-    report = ad.finite_difference_check(
-        [x], lambda: ad.sum_all(ad.mul(ad.softmax_rows(x.tensor), x.tensor)),
-        step=1e-3, tolerance=1e-3)
+    report = ad.finite_difference_check([q, k, v], loss_fn, step=1e-6, tolerance=1e-5)
     assert report.passed, report.per_param
+
+
+def test_attention_rows_are_convex_mixes_of_values():
+    rng = np.random.default_rng(3)
+    q, k = (Tensor(rng.normal(size=(4, 6)).astype(np.float32)) for _ in range(2))
+    v = Tensor(np.ones((4, 6), dtype=np.float32))
+    np.testing.assert_allclose(ad.attention(q, k, v, 3, causal_mask(4)).data, v.data, rtol=1e-6)
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, 4, None)  # 4 heads do not divide 6 columns
+
+
+def test_transformer_block_tape_entries_do_not_grow_with_heads():
+    x = Tensor(np.random.default_rng(9).normal(size=(5, 8)).astype(np.float32))
+    counts = []
+    for heads in (1, 2, 4):
+        block = TransformerBlock(8, heads, "block", np.random.default_rng(0))
+        with Tape() as tape:
+            block(x, causal_mask(5))
+        counts.append(len(tape.entries))
+    assert counts == [18, 18, 18]  # ln, 4 linears, attention, add, ln, 2 linears, gelu, add
 
 
 def test_masked_ce_gradient_vs_finite_differences():
@@ -237,7 +262,7 @@ def test_all_values_finite_after_ops():
     x = Tensor(rng.normal(size=(9, 8)).astype(np.float32) * 10.0)
     gain = Tensor(np.ones(8, dtype=np.float32))
     offset = Tensor(np.zeros(8, dtype=np.float32))
-    for out in (ad.gelu(x), ad.sigmoid(x), ad.layernorm(x, gain, offset), ad.softmax_rows(x)):
+    for out in (ad.gelu(x), ad.sigmoid(x), ad.layernorm(x, gain, offset), ad.attention(x, x, x, 2, None)):
         assert np.isfinite(out.data).all()
 
 

@@ -1,10 +1,15 @@
+import contextlib
+import os
+import resource
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iisan import backbone as bb
-from iisan import cache
+from iisan import cache, recsys
 from iisan.recsys import CachedStateProvider
 from iisan.sanet import select_layers
 from iisan.errors import ConfigError, FormatError, InputError, NotFoundError, StalenessError, VersionError
@@ -241,3 +246,82 @@ def test_store_rejects_kept_layers_out_of_order(tmp_path):
         cache.CacheStore(path)
     assert exc.value.offset == kept_at
     assert not cache.verify_cache(path).ok
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """Bytes of a valid 148-byte cache (3 records, m=2, H=4) and a path for damaged copies."""
+    path = tmp_path_factory.mktemp("fuzz") / "c.iisc"
+    cache.write_cache(path, 7, [0, 1], 4, _random_rows(3, 2, 4))
+    return path.read_bytes(), path
+
+
+def test_cache_truncated_at_every_offset(small_cache):
+    raw, path = small_cache
+    assert len(raw) == 148
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError) as exc:
+            cache.CacheStore(path)
+        assert exc.value.offset is not None, cut
+        assert not cache.verify_cache(path).ok
+
+
+# header field -> (byte offset, struct format): after magic, version and fingerprint
+_FIELDS = {"count": (14, "<I"), "m": (18, "<H"), "hidden_dim": (cache.header_size(2) - 4, "<I")}
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_damaged_cache_raises_only_format_errors(small_cache, data):
+    """Overwritten bytes, patched count, m and hidden-dim fields, and a truncation:
+    opening and reading every held record raises nothing but a FormatError
+    (VersionError is one) with a byte offset, and verify_cache never raises."""
+    raw, path = small_cache
+    damaged = bytearray(raw)
+    for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                                        max_size=3)):
+        damaged[at] = value
+    for name in data.draw(st.sets(st.sampled_from(sorted(_FIELDS)))):
+        at, fmt = _FIELDS[name]
+        struct.pack_into(fmt, damaged, at, data.draw(st.integers(0, 256 ** struct.calcsize(fmt) - 1)))
+    path.write_bytes(bytes(damaged[:data.draw(st.integers(0, len(raw)))]))
+    try:
+        store = cache.CacheStore(path)
+        store.read_items(store._ids)
+    except FormatError as exc:
+        assert exc.offset is not None
+    assert isinstance(cache.verify_cache(path).ok, bool)
+
+
+@contextlib.contextmanager
+def _file_size_limit(nbytes):
+    """Writes that would grow a file past `nbytes` fail with EFBIG, as on a full
+    disk; CPython ignores SIGXFSZ, so the write raises OSError."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+def _write_cache(path, seed):
+    cache.write_cache(path, seed, [0, 1], 4, _random_rows(30, 2, 4, seed))
+
+
+def _write_checkpoint(path, seed):
+    rec = recsys.build_rec_model("vs", 2, 8, 2, 8, bottleneck=2, dseq=8, seq_blocks=1, seq_heads=2,
+                                 max_seq_len=4, seed=seed)
+    recsys.save_rec_checkpoint(path, rec, (seed, seed))
+
+
+@pytest.mark.parametrize("write", [_write_cache, _write_checkpoint], ids=["cache", "checkpoint"])
+def test_write_failing_midway_keeps_the_previous_artifact(tmp_path, write):
+    path = tmp_path / "artifact"
+    write(path, 1)
+    good = path.read_bytes()
+    with _file_size_limit(len(good) // 2), pytest.raises(OSError):
+        write(path, 2)
+    assert path.read_bytes() == good
+    assert os.listdir(tmp_path) == ["artifact"]  # the temporary file is gone

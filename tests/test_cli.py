@@ -181,6 +181,22 @@ def test_eval_uses_checkpoint_plans_and_window(tmp_path, capsys):
     _error_line(capsys, "stale artifact:")
 
 
+@pytest.mark.parametrize("regime, setting", [
+    ("dpeft_cached", "text.seed=99"), ("dpeft_uncached", "text.seed=99"), ("dpeft_uncached", "text.hidden=32"),
+], ids=["cached-other-seed", "uncached-other-seed", "uncached-other-width"])
+def test_eval_with_other_encoders_than_training_is_stale(tmp_path, capsys, regime, setting):
+    """The checkpoint records its encoders' fingerprints: a model trained on one
+    text encoder is not evaluated on another, even with a cache that agrees."""
+    out = str(tmp_path)
+    for command in ("gen", "cache", "train"):
+        assert main([command, "--out", out, *SMALL, "--set", "train.epochs=1"]) == 0
+    other = [*SMALL, "--set", setting, "--set", f"regime={regime}"]
+    assert main(["cache", "--out", out, *other]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--out", out, *other]) == 4
+    assert "trained on encoders" in _error_line(capsys, "stale artifact:")
+
+
 def test_setting_beyond_a_u16_field_is_config_error_and_keeps_the_checkpoint(tmp_path, capsys):
     out = str(tmp_path)
     args = [*SMALL, "--set", "regime=dpeft_uncached", "--set", "train.epochs=1"]
@@ -210,7 +226,7 @@ def test_checkpoint_plans_not_derived_for_the_model_are_format_errors(tmp_path, 
     struct.pack_into("<2H", raw, kept_at, *kept)
     ckpt.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as exc:
-        recsys.load_rec_checkpoint(ckpt)
+        recsys.load_rec_checkpoint(ckpt, (0, 0))  # format errors come first
     assert exc.value.offset == 7
     capsys.readouterr()
     assert main(["eval", "--out", out, *args]) == 3

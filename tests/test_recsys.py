@@ -12,7 +12,7 @@ from iisan.autodiff import Tensor
 from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
-from iisan.errors import ContractError, FormatError, InputError, StalenessError
+from iisan.errors import ContractError, FormatError, InputError, StalenessError, VersionError
 from iisan.recsys import (InteractionDataset, TrainConfig, compute_popularity,
                           inbatch_debiased_ce, metrics_from_scores, popularity_baseline,
                           rank_pessimistic, split_leave_one_out)
@@ -435,6 +435,9 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
 
 # --- checkpoints -----------------------------------------------------------------
 
+FPS = (0x7E47, 0x1A6E)  # the (text, image) encoder fingerprints the test checkpoints record
+
+
 def _va_rec(seed=0):
     return recsys.build_rec_model("va", 8, 24, 4, 16, text_mode="asym_grouped", bottleneck=4,
                                   dseq=16, seq_blocks=2, seq_heads=2, max_seq_len=6, seed=seed)
@@ -453,8 +456,8 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
     for p in rec.parameters():
         p.tensor.data = rng.normal(size=p.data.shape).astype(np.float32)
     path = tmp_path / "m.ckpt"
-    recsys.save_rec_checkpoint(path, rec)
-    loaded = recsys.load_rec_checkpoint(path)
+    recsys.save_rec_checkpoint(path, rec, FPS)
+    loaded = recsys.load_rec_checkpoint(path, FPS)
     assert _header_fields(loaded) == _header_fields(rec)  # plans include the group size
     assert (loaded.iisan.dtl is None) == (rec.iisan.variant == "vs")
     for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
@@ -465,12 +468,31 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
 def test_header_that_cannot_be_packed_leaves_the_old_checkpoint(tmp_path):
     rec = _va_rec()
     path = tmp_path / "m.ckpt"
-    recsys.save_rec_checkpoint(path, rec)
+    recsys.save_rec_checkpoint(path, rec, FPS)
     good = path.read_bytes()
     rec.seq.max_seq_len = recsys.U16_MAX + 1
     with pytest.raises(struct.error):
-        recsys.save_rec_checkpoint(path, rec)
+        recsys.save_rec_checkpoint(path, rec, FPS)
     assert path.read_bytes() == good
+
+
+def test_checkpoint_from_other_encoders_is_stale(tmp_path):
+    path = tmp_path / "m.ckpt"
+    recsys.save_rec_checkpoint(path, _va_rec(), FPS)
+    with pytest.raises(StalenessError) as exc:
+        recsys.load_rec_checkpoint(path, (FPS[0], 0x99))
+    assert "0x7e47/0x1a6e" in str(exc.value) and "0x7e47/0x99" in str(exc.value)
+
+
+def test_version_1_checkpoint_is_version_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    recsys.save_rec_checkpoint(path, _va_rec(), FPS)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<H", raw, 4, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionError) as exc:
+        recsys.load_rec_checkpoint(path, FPS)
+    assert exc.value.offset == 4
 
 
 @pytest.fixture(scope="module")
@@ -479,7 +501,7 @@ def va_checkpoint(tmp_path_factory):
     path to write damaged copies to."""
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
     rec = _va_rec()
-    recsys.save_rec_checkpoint(path, rec)
+    recsys.save_rec_checkpoint(path, rec, FPS)
     image_mode_at = 7 + 7 + 2 * rec.iisan.text_plan.m  # after the header and the text plan
     # field -> (byte offset, first unknown code)
     codes = {"variant": (6, 2), "text mode": (7, 3), "image mode": (image_mode_at, 3)}
@@ -491,7 +513,7 @@ def test_checkpoint_truncated_at_every_offset(va_checkpoint):
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError) as exc:
-            recsys.load_rec_checkpoint(path)
+            recsys.load_rec_checkpoint(path, FPS)
         assert exc.value.offset is not None, cut
 
 
@@ -507,7 +529,7 @@ def test_checkpoint_reader_raises_only_format_errors(va_checkpoint, data):
     cut = data.draw(st.integers(at + 1, len(raw)))
     path.write_bytes(bytes(damaged[:cut]))
     with pytest.raises(FormatError) as exc:
-        recsys.load_rec_checkpoint(path)
+        recsys.load_rec_checkpoint(path, FPS)
     assert exc.value.offset is not None
 
 
@@ -525,7 +547,7 @@ def test_checkpoint_without_a_buildable_model_is_format_error(va_checkpoint, pat
         damaged[dims_at + 18:dims_at + 20] = struct.pack("<H", int(patch[-1]))
     path.write_bytes(bytes(damaged))
     with pytest.raises(FormatError) as exc:
-        recsys.load_rec_checkpoint(path)
+        recsys.load_rec_checkpoint(path, FPS)
     assert exc.value.offset == dims_at
 
 
@@ -547,5 +569,5 @@ def test_checkpoint_sizes_are_checked_before_allocation(va_checkpoint, patch):
         offset = len(raw)
     path.write_bytes(bytes(damaged))
     with pytest.raises(FormatError) as exc:
-        recsys.load_rec_checkpoint(path)
+        recsys.load_rec_checkpoint(path, FPS)
     assert exc.value.offset == offset
