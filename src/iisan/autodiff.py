@@ -8,10 +8,10 @@ inputs require gradients records itself together with a backward closure;
 `backward` replays the records in exact reverse execution order and
 accumulates gradients additively for shared inputs.
 
-Broadcasting is deliberately restricted: binary elementwise operations
-accept scalar-with-tensor or equal shapes only. Richer patterns (bias rows,
-row gathers, multi-head attention) are separate operations with their own
-exact backward rules, which keeps the correctness surface small.
+There is no broadcasting: binary elementwise operations take equal shapes
+only. Richer patterns (bias rows, row gathers, scalar gates, multi-head
+attention) are separate operations with their own exact backward rules,
+which keeps the correctness surface small.
 
 Tape entries reference the live input arrays, so `backward` must run before
 any parameter update mutates them; optimizers step from the returned map.
@@ -145,22 +145,9 @@ def _emit(out: Tensor, inputs: tuple[Tensor, ...], back) -> Tensor:
     return out
 
 
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _check_pair(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not scalar- or equal-broadcastable")
-
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if shape == ():
-        return np.asarray(grad.sum(), dtype=grad.dtype)
-    return grad
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not equal")
 
 
 # ---------------------------------------------------------------------------
@@ -181,46 +168,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "add")
     out = Tensor(a.data + b.data)
 
     def back(og):
-        return _reduce_to(og, a.shape), _reduce_to(og, b.shape)
+        return og, og
 
     return _emit(out, (a, b), back)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
     out = Tensor(a.data * b.data)
 
     def back(og):
-        return _reduce_to(og * b.data, a.shape), _reduce_to(og * a.data, b.shape)
+        return og * b.data, og * a.data
 
     return _emit(out, (a, b), back)
 
 
-def one_minus(a: Tensor) -> Tensor:
-    """1 - a, used for the complementary side of a gate."""
-    out = Tensor(a.dtype.type(1.0) - a.data)
+def gate(raw: Tensor, x: Tensor, y: Tensor) -> Tensor:
+    """g x + (1 - g) y with the scalar gate g = sigmoid(raw) and equal-shape x, y."""
+    if raw.shape != ():
+        raise DimensionError(f"gate: raw {raw.shape} is not a scalar")
+    _check_pair(x, y, "gate")
+    g = (1.0 / (1.0 + np.exp(-raw.data))).astype(raw.dtype)
+    h = raw.dtype.type(1.0) - g
+    out = Tensor(x.data * g + y.data * h)
 
     def back(og):
-        return (-og,)
+        dg = -np.asarray((og * y.data).sum()) + np.asarray((og * x.data).sum())
+        return dg * g * (1.0 - g), og * g, og * h
 
-    return _emit(out, (a,), back)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y.astype(a.dtype))
-
-    def back(og):
-        return (og * out.data * (1.0 - out.data),)
-
-    return _emit(out, (a,), back)
+    return _emit(out, (raw, x, y), back)
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -22,6 +22,7 @@ from .layers import TransformerBlock
 
 TEXT_TOKEN_COUNT = 8
 IMAGE_TOKEN_COUNT = 16
+HEADS = 2  # attention heads per block of every frozen encoder
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class EncoderConfig:
             raise ConfigError(f"unknown modality {self.modality!r}")
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.hidden_dim < 2 or self.hidden_dim % 2 != 0:
+        if self.hidden_dim < HEADS or self.hidden_dim % HEADS:
             raise ConfigError(f"hidden_dim must be even and >= 2, got {self.hidden_dim}")
         if self.vocab_or_patch_count < 1:
             raise ConfigError("vocab_or_patch_count must be positive")
@@ -60,7 +61,6 @@ class FrozenEncoder:
         cfg.validate()
         self.cfg = cfg
         self.fingerprint = fingerprint(cfg)
-        self.heads = 2
         rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         h = cfg.hidden_dim
         scale = 1.0 / np.sqrt(h)
@@ -70,7 +70,7 @@ class FrozenEncoder:
         self.token_table = Parameter(Tensor(tok), f"{prefix}.tokens", trainable)
         self.pos_table = Parameter(Tensor(pos), f"{prefix}.positions", trainable)
         self.blocks = [
-            TransformerBlock(h, self.heads, f"{prefix}.block{i + 1}", rng, trainable=trainable)
+            TransformerBlock(h, HEADS, f"{prefix}.block{i + 1}", rng, trainable=trainable)
             for i in range(cfg.layers)
         ]
 

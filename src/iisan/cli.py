@@ -350,7 +350,7 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
     text_cfg, image_cfg = encoder_configs(cfg)
     san = costmodel.SanSpec(variant=cfg.variant, bottleneck=cfg.san_bottleneck,
                             dseq=cfg.seq_dim, seq_blocks=cfg.seq_blocks,
-                            seq_heads=cfg.seq_heads, seq_len=cfg.seq_max_len)
+                            seq_heads=cfg.seq_heads, seq_len=cfg.seq_max_len, text_mode=cfg.text_mode)
     reports = [costmodel.estimate(text_cfg, image_cfg, san, regime,
                                   batch=cfg.profile_batch, catalog_items=cfg.gen_items)
                for regime in costmodel.REGIMES]

@@ -34,13 +34,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tape
-from .backbone import IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, forward, item_tokens
+from .backbone import (HEADS, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, forward,
+                       item_tokens)
 from .cache import cache_file_size
 from .errors import ConfigError, ContractError
 from .layers import Linear
 from .recsys import (EncodeStateProvider, InteractionDataset, SeqEncoder, batch_windows,
                      compute_popularity, seq_param_count, sequence_loss, split_leave_one_out)
-from .sanet import SanBlock, _sanb_params, build_model, tower_param_count
+from .sanet import SanBlock, _sanb_params, build_model, plans_for, tower_param_count
 
 FFT = "fft"
 EPEFT_ADAPTER = "epeft_adapter"
@@ -50,7 +51,6 @@ REGIMES = (FFT, EPEFT_ADAPTER, DPEFT_UNCACHED, DPEFT_CACHED)
 
 CHAIN_ACT_VECTORS = 9
 WGRAD_ACT_VECTORS = 7
-BACKBONE_HEADS = 2
 
 
 def block_fwd_flops(s: int, h: int) -> int:
@@ -67,6 +67,7 @@ class SanSpec:
     seq_blocks: int = 2
     seq_heads: int = 2
     seq_len: int = 10
+    text_mode: str = ""  # the text layer-drop mode; "" takes the variant's default
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ _TRAVERSED = {FFT: (), EPEFT_ADAPTER: ("backbone",), DPEFT_UNCACHED: (), DPEFT_C
 
 def _backbone_act_floats(cfg: EncoderConfig, tokens: int, trained: bool) -> int:
     per_token = cfg.hidden_dim * (CHAIN_ACT_VECTORS + (WGRAD_ACT_VECTORS if trained else 0))
-    return cfg.layers * (tokens * per_token + BACKBONE_HEADS * tokens * tokens)
+    return cfg.layers * (tokens * per_token + HEADS * tokens * tokens)
 
 
 def _segment_costs(text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec,
@@ -171,14 +172,15 @@ def estimate(text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec, re
     Every segment on the tape (trained or traversed) runs forward once and
     stores its activations; backward costs 2x forward for trained segments
     and 1x for traversed ones. The backbone also runs forward, off the tape,
-    in the uncached decoupled regime.
+    in the uncached decoupled regime. The towers' depth m comes from the
+    layer-drop plans, so depths no model can be built for are a ConfigError.
     """
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     if san.variant == "vs" and text_cfg.hidden_dim != image_cfg.hidden_dim:
         raise ConfigError("symmetric estimate needs equal hidden dims")
     wl = Workload(batch, seq_lens[0], seq_lens[1], san.seq_len, catalog_items)
-    m = image_cfg.layers // 2
+    m = plans_for(san.variant, text_cfg.layers, image_cfg.layers, san.text_mode)[0].m
     trained, traversed = _TRAINED[regime], _TRAVERSED[regime]
     costs = _segment_costs(text_cfg, image_cfg, san, wl, m, "backbone" in trained)
     on_tape = trained + traversed

@@ -73,9 +73,11 @@ def load_interactions(path) -> InteractionDataset:
 
 
 def save_interactions(path, users: Mapping[int, Sequence[int]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """The lines `load_interactions` parses, by ascending user; the file appears
+    whole or not at all."""
+    with atomic_write(path) as f:
         for user in sorted(users):
-            f.write(f"{user}\t{' '.join(str(v) for v in users[user])}\n")
+            f.write(f"{user}\t{' '.join(str(v) for v in users[user])}\n".encode())
 
 
 @dataclass
@@ -399,7 +401,8 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     """Full-catalog ranking of each user's test item.
 
     The user's window is the train prefix plus the validation item, cut to
-    the model's own length, `rec.seq.max_seq_len`.
+    the model's own length, `rec.seq.max_seq_len`. A non-finite score ranks
+    nothing, so it is an InputError naming the user.
     """
     catalog = list(split.catalog)
     if not catalog:
@@ -415,8 +418,14 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     users = sorted(split.test)
     windows = [(split.train[u] + [split.val[u]])[-rec.seq.max_seq_len:] for u in users]
     states = user_states(rec.seq, item_matrix, col, windows)
-    return metrics_from_scores((item_matrix.data @ s.data[-1], col[split.test[u]])
-                               for u, s in zip(users, states))
+    rows = []
+    for u, s in zip(users, states):
+        scores = item_matrix.data @ s.data[-1]
+        if not np.isfinite(scores).all():
+            raise InputError(f"user {u} has a non-finite score: the checkpoint or the item "
+                             "states hold a NaN or an infinity")
+        rows.append((scores, col[split.test[u]]))
+    return metrics_from_scores(rows)
 
 
 def popularity_baseline(split: Split, popularity: Mapping[int, float]) -> MetricReport:

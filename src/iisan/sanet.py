@@ -121,26 +121,14 @@ class SanBlock:
         return self.down.parameters() + self.up.parameters()
 
 
-class GateParam:
-    """Scalar gate sigmoid(raw); raw starts at 0 so mixing starts balanced."""
-
-    def __init__(self, name: str):
-        self.raw = Parameter(Tensor(np.zeros((), dtype=np.float32)), name)
-
-    def value(self) -> Tensor:
-        return ad.sigmoid(self.raw.tensor)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.raw]
-
-
 def _check_stack(states: Sequence[Tensor], m: int, who: str) -> None:
     if len(states) != m + 1:
         raise ContractError(f"{who}: expected {m + 1} stack entries (embedding + kept), got {len(states)}")
 
 
 class _Tower:
-    """m bottleneck blocks plus one scalar gate per level from `first_gate` to m."""
+    """m bottleneck blocks plus one raw scalar gate per level from `first_gate` to m;
+    raw starts at 0, so each gate starts as an even mix."""
 
     first_gate: int
 
@@ -148,14 +136,14 @@ class _Tower:
                  rng: np.random.Generator):
         self.m = m
         self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng) for i in range(1, m + 1)]
-        self.gates = {i: GateParam(f"{name}.gate{i}") for i in range(self.first_gate, m + 1)}
+        self.gates = {i: Parameter(Tensor(np.zeros((), dtype=np.float32)), f"{name}.gate{i}")
+                      for i in range(self.first_gate, m + 1)}
 
     def parameters(self) -> list[Parameter]:
         out = []
         for blk in self.blocks:
             out.extend(blk.parameters())
-        for i in sorted(self.gates):
-            out.extend(self.gates[i].parameters())
+        out.extend(self.gates.values())
         return out
 
 
@@ -169,9 +157,7 @@ class IntraTower(_Tower):
         _check_stack(states, self.m, "intra tower")
         b = self.blocks[0](states[0])
         for i in range(2, self.m + 1):
-            g = self.gates[i].value()
-            mixed = ad.add(ad.mul(b, g), ad.mul(states[i], ad.one_minus(g)))
-            b = self.blocks[i - 1](mixed)
+            b = self.blocks[i - 1](ad.gate(self.gates[i].tensor, b, states[i]))
         return b
 
 
@@ -186,11 +172,9 @@ class InterTower(_Tower):
         _check_stack(text_states, self.m, "inter tower (text)")
         _check_stack(image_states, self.m, "inter tower (image)")
         aligned = [dtl(t) for t in text_states] if dtl is not None else list(text_states)
-        g1 = self.gates[1].value()
-        b = self.blocks[0](ad.add(ad.mul(image_states[0], g1), ad.mul(aligned[0], ad.one_minus(g1))))
+        b = self.blocks[0](ad.gate(self.gates[1].tensor, image_states[0], aligned[0]))
         for i in range(2, self.m + 1):
-            g = self.gates[i].value()
-            mixed = ad.add(ad.mul(image_states[i], g), ad.mul(aligned[i], ad.one_minus(g)))
+            mixed = ad.gate(self.gates[i].tensor, image_states[i], aligned[i])
             b = self.blocks[i - 1](ad.add(mixed, b))
         return b
 

@@ -59,7 +59,8 @@ def test_matmul_grad_matches_ones_times_bt():
 
 
 def test_sigmoid_at_zero():
-    out = ad.sigmoid(Tensor(np.zeros((), dtype=np.float32)))
+    one, zero = (Tensor(np.asarray(v, dtype=np.float32)) for v in (1.0, 0.0))
+    out = ad.gate(Tensor(np.zeros((), dtype=np.float32)), one, zero)
     assert out.item() == pytest.approx(0.5)
 
 
@@ -79,13 +80,18 @@ def test_gelu_gradient_vs_finite_differences():
     assert report.passed, report.per_param
 
 
-def test_elementwise_dispatch_and_broadcast_rules():
+def test_elementwise_ops_take_equal_shapes_only():
     a = Tensor(np.ones((2, 2), dtype=np.float32))
     s = Tensor(np.asarray(2.0, dtype=np.float32))
-    np.testing.assert_array_equal(ad.add(a, s).data, np.full((2, 2), 3.0, np.float32))
-    np.testing.assert_array_equal(ad.mul(a, s).data, np.full((2, 2), 2.0, np.float32))
+    row = Tensor(np.ones((2,), dtype=np.float32))
+    np.testing.assert_array_equal(ad.add(a, a).data, np.full((2, 2), 2.0, np.float32))
+    np.testing.assert_array_equal(ad.mul(a, a).data, np.ones((2, 2), np.float32))
+    for op in (ad.add, ad.mul, lambda x, y: ad.gate(s, x, y)):
+        for x, y in ((a, s), (s, a), (a, row), (row, a)):
+            with pytest.raises(DimensionError):
+                op(x, y)
     with pytest.raises(DimensionError):
-        ad.add(a, Tensor(np.ones((3,), dtype=np.float32)))
+        ad.gate(row, a, a)  # the gate's raw value is a scalar
 
 
 def test_backward_simple_square():
@@ -220,14 +226,30 @@ def test_finite_difference_check_empty_model():
 
 
 def test_gate_gradient_at_raw_zero():
-    # loss = sigmoid(raw) * c at raw=0 has gradient 0.25 * c
+    # loss = sigmoid(raw) * c + (1 - sigmoid(raw)) * 0 at raw=0 has gradient 0.25 * c
     raw = _param(np.asarray(0.0), "raw")
     c = 3.0
-    grads = _grad_of(lambda: ad.mul(ad.sigmoid(raw.tensor), c), [raw])
+    c_t, zero = (Tensor(np.asarray(v, dtype=np.float32)) for v in (c, 0.0))
+    grads = _grad_of(lambda: ad.gate(raw.tensor, c_t, zero), [raw])
     assert float(grads["raw"]) == pytest.approx(0.25 * c, rel=1e-6)
     report = ad.finite_difference_check(
-        [raw], lambda: ad.mul(ad.sigmoid(raw.tensor), c), step=1e-3, tolerance=1e-3)
+        [raw], lambda: ad.gate(raw.tensor, c_t, zero), step=1e-3, tolerance=1e-3)
     assert report.passed
+
+
+@pytest.mark.parametrize("raw_value", [-3.0, 0.0, 3.0])
+def test_gate_gradient_vs_finite_differences(raw_value):
+    rng = np.random.default_rng(8)
+    raw = _param(np.asarray(raw_value), "raw", dtype=np.float64)
+    x, y = (_param(rng.normal(size=(4, 5)), name, dtype=np.float64) for name in "xy")
+    # weights away from zero keep every gradient element above the differences' roundoff
+    weights = Tensor(rng.uniform(0.5, 1.5, size=(4, 5)), dtype=np.float64)
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(ad.gate(raw.tensor, x.tensor, y.tensor), weights))
+
+    report = ad.finite_difference_check([raw, x, y], loss_fn, step=1e-6, tolerance=1e-5)
+    assert report.passed, report.per_param
 
 
 def test_float64_mode_tighter_tolerance():
@@ -262,7 +284,8 @@ def test_all_values_finite_after_ops():
     x = Tensor(rng.normal(size=(9, 8)).astype(np.float32) * 10.0)
     gain = Tensor(np.ones(8, dtype=np.float32))
     offset = Tensor(np.zeros(8, dtype=np.float32))
-    for out in (ad.gelu(x), ad.sigmoid(x), ad.layernorm(x, gain, offset), ad.attention(x, x, x, 2, None)):
+    gates = [ad.gate(Tensor(r), x, x) for r in (x.data.min(), x.data.max())]
+    for out in (ad.gelu(x), *gates, ad.layernorm(x, gain, offset), ad.attention(x, x, x, 2, None)):
         assert np.isfinite(out.data).all()
 
 

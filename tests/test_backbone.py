@@ -112,7 +112,7 @@ def _oracle_forward(enc, ids):
     s = len(ids)
     x = p["tokens"][ids] + p["positions"][:s]
     states = [x[0].copy()]
-    dh = enc.cfg.hidden_dim // enc.heads
+    dh = enc.cfg.hidden_dim // bb.HEADS
     for i in range(1, enc.cfg.layers + 1):
         blk = f"block{i}"
         h = _oracle_layernorm(x, p[f"{blk}.ln1.gain"], p[f"{blk}.ln1.offset"])
@@ -120,7 +120,7 @@ def _oracle_forward(enc, ids):
         k = h @ p[f"{blk}.wk.w"] + p[f"{blk}.wk.b"]
         v = h @ p[f"{blk}.wv.w"] + p[f"{blk}.wv.b"]
         heads = []
-        for j in range(enc.heads):
+        for j in range(bb.HEADS):
             qh, kh, vh = (t[:, j * dh:(j + 1) * dh] for t in (q, k, v))
             heads.append(_oracle_softmax(qh @ kh.T / np.sqrt(np.float32(dh))) @ vh)
         x = x + (np.concatenate(heads, axis=1) @ p[f"{blk}.wo.w"] + p[f"{blk}.wo.b"])

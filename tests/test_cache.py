@@ -316,7 +316,13 @@ def _write_checkpoint(path, seed):
     recsys.save_rec_checkpoint(path, rec, (seed, seed))
 
 
-@pytest.mark.parametrize("write", [_write_cache, _write_checkpoint], ids=["cache", "checkpoint"])
+def _write_interactions(path, seed):
+    rng = np.random.default_rng(seed)
+    recsys.save_interactions(path, {u: rng.integers(0, 1000, size=12).tolist() for u in range(1, 41)})
+
+
+@pytest.mark.parametrize("write", [_write_cache, _write_checkpoint, _write_interactions],
+                         ids=["cache", "checkpoint", "interactions"])
 def test_write_failing_midway_keeps_the_previous_artifact(tmp_path, write):
     path = tmp_path / "artifact"
     write(path, 1)

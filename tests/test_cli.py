@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from iisan import cli, recsys
+from iisan import cache, cli, recsys
 from iisan.cli import SyntheticSpec, build_config, config_hash, generate_synthetic, main
 from iisan.errors import ConfigError, FormatError
 
@@ -252,6 +252,50 @@ def test_unreadable_file_is_input_error(tmp_path, capsys, monkeypatch, command, 
     monkeypatch.chdir(tmp_path)
     assert main([command, "--out", str(tmp_path / "run"), *SMALL, *extra]) == 3
     _error_line(capsys, "error:")
+
+
+@pytest.mark.parametrize("damage", ["cache-nan", "checkpoint-nan", "checkpoint-inf"])
+def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
+    """A NaN in a cache record the verifier does not sample, or a NaN or an
+    infinity in the last checkpoint parameter, ranks nothing: eval names a user
+    and prints no METRICS line."""
+    out = str(tmp_path)
+    args = [*SMALL, "--set", "train.epochs=1"]
+    for command in ("gen", "cache", "train"):
+        assert main([command, "--out", out, *args]) == 0
+    if damage == "cache-nan":
+        path = tmp_path / "cache" / "text.iisc"
+        header = cache.CacheStore(path).header
+        m = len(header.kept_layers)
+        first_of_record_1 = cache.header_size(m) + cache.record_size(m, header.hidden_dim) + 8
+        target, at, value = path, first_of_record_1, float("nan")
+    else:
+        target = tmp_path / "model.ckpt"
+        at, value = target.stat().st_size - 4, float("nan" if damage == "checkpoint-nan" else "inf")
+    raw = bytearray(target.read_bytes())
+    struct.pack_into("<f", raw, at, value)
+    target.write_bytes(bytes(raw))
+    assert cache.verify_cache(tmp_path / "cache" / "text.iisc").ok  # it samples record 0 only
+    capsys.readouterr()
+    assert main(["eval", "--out", out, *args]) == 3
+    captured = capsys.readouterr()
+    assert "METRICS" not in captured.out
+    assert captured.err.startswith("error: user ") and "non-finite score" in captured.err, captured.err
+
+
+@pytest.mark.parametrize("depths", [
+    ["variant=va", "text.layers=1", "image.layers=1"], ["text.layers=4", "image.layers=12"],
+    ["variant=va", "text.mode=asym_grouped", "text.layers=6", "image.layers=12"],  # no group size fits
+], ids=["va-one-layer", "vs-unequal-depths", "va-grouped-too-shallow"])
+def test_profile_rejects_depths_train_rejects(tmp_path, capsys, depths):
+    """Profile models the towers train would build, so it rejects the same depths."""
+    out = str(tmp_path)
+    settings = [arg for setting in depths for arg in ("--set", setting)]
+    assert main(["gen", "--out", out, *SMALL]) == 0
+    for command in ("train", "profile"):
+        capsys.readouterr()
+        assert main([command, "--out", out, *SMALL, *settings]) == 2
+        _error_line(capsys, "config error:")
 
 
 @pytest.fixture(scope="module")

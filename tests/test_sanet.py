@@ -106,13 +106,14 @@ def test_sanblock_gradient_vs_finite_differences():
 
 
 def test_gate_value_stays_in_open_interval():
-    g = sanet.GateParam("g")
+    g = _model().intra_text.gates[2].tensor
+    one, zero = (Tensor(np.asarray(v, dtype=np.float32)) for v in (1.0, 0.0))
     for raw in (-30.0, 0.0, 30.0):
-        g.raw.tensor.data = np.asarray(raw, dtype=np.float32)
-        v = float(g.value().data)
+        g.data = np.asarray(raw, dtype=np.float32)
+        v = float(ad.gate(g, one, zero).data)
         assert 0.0 <= v <= 1.0
-    g.raw.tensor.data = np.asarray(0.0, dtype=np.float32)
-    assert float(g.value().data) == 0.5
+    g.data = np.asarray(0.0, dtype=np.float32)
+    assert float(ad.gate(g, one, zero).data) == 0.5
 
 
 # --- towers ---------------------------------------------------------------------
@@ -140,7 +141,7 @@ def test_intra_gate_saturation_ignores_later_states():
     tower = model.intra_text
     _randomize(model)
     for gate in tower.gates.values():
-        gate.raw.tensor.data = np.asarray(30.0, dtype=np.float32)  # sigmoid == 1.0 in float32
+        gate.tensor.data = np.asarray(30.0, dtype=np.float32)  # sigmoid == 1.0 in float32
     states = _random_stack(tower.m, 2, 6, seed=4)
     out = tower(states)
     cascade = states[0]
@@ -212,7 +213,7 @@ def test_intra_matches_straight_line_oracle_at_default_gates():
     model = _model()
     _randomize(model)
     for gate in model.intra_text.gates.values():
-        gate.raw.tensor.data = np.asarray(0.0, dtype=np.float32)
+        gate.tensor.data = np.asarray(0.0, dtype=np.float32)
     states = _random_stack(model.m, 3, 6, seed=8)
     out = model.intra_text(states)
     expected = _np_intra([s.data for s in states], _params_by_name(model), "intra_text", model.m)
@@ -223,7 +224,7 @@ def test_inter_gate_saturation_drops_text_dependency():
     model = _model()
     _randomize(model)
     for gate in model.inter.gates.values():
-        gate.raw.tensor.data = np.asarray(30.0, dtype=np.float32)
+        gate.tensor.data = np.asarray(30.0, dtype=np.float32)
     image = _random_stack(model.m, 2, 6, seed=9)
     text_a = _random_stack(model.m, 2, 6, seed=10)
     text_b = _random_stack(model.m, 2, 6, seed=11)
@@ -237,7 +238,7 @@ def test_inter_identical_stacks_reduce_to_state_plus_previous():
     _randomize(model)
     rng = np.random.default_rng(12)
     for gate in model.inter.gates.values():
-        gate.raw.tensor.data = np.asarray(rng.normal(), dtype=np.float32)
+        gate.tensor.data = np.asarray(rng.normal(), dtype=np.float32)
     stack = _random_stack(model.m, 2, 6, seed=13)
     out = model.inter(stack, stack, None)
 
@@ -290,6 +291,18 @@ def test_item_embed_gradients_cover_every_component():
     grads = ad.backward(tape, loss, model.parameters())
     prefixes = {name.split(".")[0] for name, g in grads.items() if np.abs(g).max() > 0}
     assert {"intra_text", "intra_image", "inter", "dtl", "fusion"} <= prefixes
+
+
+def test_item_embed_records_one_tape_entry_per_gate():
+    model = _model(variant="va", text_layers=12, text_dim=8, image_layers=6, image_dim=4)
+    m = model.m
+    with ad.Tape() as tape:
+        model.item_embed(_random_stack(m, 2, 8, seed=22), _random_stack(m, 2, 4, seed=23))
+    gates = 3 * m - 2  # m - 1 per intra tower, m in the inter tower
+    blocks = 3 * m * 6  # down and up linears (matmul and bias_add each), gelu, residual add
+    links = (m - 1) + 2 * (m + 1) + 3  # inter residual adds, dtl linears, concat and fusion linear
+    # one entry per gate; sigmoid, mul, one_minus, mul and add took five
+    assert len(tape.entries) == blocks + gates + links
 
 
 def test_variant_validation():
