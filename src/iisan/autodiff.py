@@ -9,7 +9,7 @@ inputs require gradients records itself together with a backward closure;
 accumulates gradients additively for shared inputs.
 
 There is no broadcasting: binary elementwise operations take equal shapes
-only. Richer patterns (bias rows, row gathers, scalar gates, multi-head
+only. Richer patterns (linear layers, row gathers, scalar gates, multi-head
 attention) are separate operations with their own exact backward rules,
 which keeps the correctness surface small.
 
@@ -168,6 +168,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x w + b for a 2-d x, an (n_in, n_out) w and a length-n_out b."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+    out = Tensor(x.data @ w.data + b.data)
+
+    def back(og):
+        return og @ w.data.T, x.data.T @ og, og.sum(axis=0)
+
+    return _emit(out, (x, w, b), back)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "add")
     out = Tensor(a.data + b.data)
@@ -242,18 +254,6 @@ def layernorm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LAYERNORM_EP
         return dx.astype(x.dtype), dgamma.astype(x.dtype), dbeta.astype(x.dtype)
 
     return _emit(out, (x, gain, offset), back)
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-k row vector to every row of an (n, k) tensor."""
-    if x.data.ndim != 2 or b.shape != (x.shape[1],):
-        raise DimensionError(f"bias_add: cannot add row {b.shape} to {x.shape}")
-    out = Tensor(x.data + b.data)
-
-    def back(og):
-        return og, og.sum(axis=0)
-
-    return _emit(out, (x, b), back)
 
 
 def transpose(x: Tensor) -> Tensor:

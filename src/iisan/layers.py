@@ -32,7 +32,7 @@ class Linear:
         self.b = Parameter(Tensor(np.zeros(n_out, dtype=np.float32)), f"{name}.b", trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.bias_add(ad.matmul(x, self.w.tensor), self.b.tensor)
+        return ad.linear(x, self.w.tensor, self.b.tensor)
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]

@@ -202,7 +202,7 @@ def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
     pops = np.array([popularity[i] for i in candidates], dtype=np.float64)
     if (pops <= 0).any():
         raise InputError("inbatch_debiased_ce: popularity must be positive for every candidate")
-    adjusted = ad.bias_add(logits, Tensor(-np.log(pops).astype(logits.data.dtype)))
+    adjusted = ad.add(logits, Tensor(np.broadcast_to(-np.log(pops).astype(logits.data.dtype), logits.shape)))
 
     col = {item: i for i, item in enumerate(candidates)}
     pos_cols = np.empty(t, dtype=np.int64)

@@ -58,6 +58,30 @@ def test_matmul_grad_matches_ones_times_bt():
     assert report.passed, report.per_param
 
 
+def test_linear_gradient_vs_finite_differences():
+    rng = np.random.default_rng(10)
+    x = _param(rng.normal(size=(4, 5)), "x", dtype=np.float64)
+    w = _param(rng.normal(size=(5, 3)), "w", dtype=np.float64)
+    b = _param(rng.normal(size=(3,)), "b", dtype=np.float64)
+    weights = Tensor(rng.uniform(0.5, 1.5, size=(4, 3)), dtype=np.float64)
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(ad.linear(x.tensor, w.tensor, b.tensor), weights))
+
+    report = ad.finite_difference_check([x, w, b], loss_fn, step=1e-6, tolerance=1e-5)
+    assert report.passed, report.per_param
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((5,), (5, 3), (3,)), ((4, 6), (5, 3), (3,)), ((4, 5), (5, 3), (4,)),
+], ids=["1d-x", "inner-mismatch", "bias-length"])
+def test_linear_shape_error_names_the_shapes(x_shape, w_shape, b_shape):
+    x, w, b = (Tensor(np.zeros(shape, dtype=np.float32)) for shape in (x_shape, w_shape, b_shape))
+    with pytest.raises(DimensionError) as exc:
+        ad.linear(x, w, b)
+    assert all(str(shape) in str(exc.value) for shape in (x_shape, w_shape, b_shape))
+
+
 def test_sigmoid_at_zero():
     one, zero = (Tensor(np.asarray(v, dtype=np.float32)) for v in (1.0, 0.0))
     out = ad.gate(Tensor(np.zeros((), dtype=np.float32)), one, zero)
@@ -194,7 +218,7 @@ def test_transformer_block_tape_entries_do_not_grow_with_heads():
         with Tape() as tape:
             block(x, causal_mask(5))
         counts.append(len(tape.entries))
-    assert counts == [18, 18, 18]  # ln, 4 linears, attention, add, ln, 2 linears, gelu, add
+    assert counts == [12, 12, 12]  # ln, 4 linears, attention, add, ln, 2 linears, gelu, add
 
 
 def test_masked_ce_gradient_vs_finite_differences():

@@ -299,8 +299,8 @@ def test_item_embed_records_one_tape_entry_per_gate():
     with ad.Tape() as tape:
         model.item_embed(_random_stack(m, 2, 8, seed=22), _random_stack(m, 2, 4, seed=23))
     gates = 3 * m - 2  # m - 1 per intra tower, m in the inter tower
-    blocks = 3 * m * 6  # down and up linears (matmul and bias_add each), gelu, residual add
-    links = (m - 1) + 2 * (m + 1) + 3  # inter residual adds, dtl linears, concat and fusion linear
+    blocks = 3 * m * 4  # down linear, gelu, up linear, residual add
+    links = (m - 1) + (m + 1) + 2  # inter residual adds, dtl linears, concat and fusion linear
     # one entry per gate; sigmoid, mul, one_minus, mul and add took five
     assert len(tape.entries) == blocks + gates + links
 
