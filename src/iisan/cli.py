@@ -90,8 +90,12 @@ _FIELD_TO_KEY = {v: k for k, v in _KEYS.items()}
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            try:  # a byte that is not UTF-8 reads as a lone surrogate, which does not encode
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: line is not UTF-8 text") from exc
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -222,10 +226,13 @@ def generate_synthetic(spec: SyntheticSpec, path) -> dict:
 # ---------------------------------------------------------------------------
 
 def encoder_configs(cfg: RunConfig) -> tuple[EncoderConfig, EncoderConfig]:
+    """The (text, image) encoder configs, each validated."""
     text = EncoderConfig("text", cfg.text_layers, cfg.text_hidden,
                          cfg.text_vocab, cfg.text_max_positions, cfg.text_seed)
     image = EncoderConfig("image", cfg.image_layers, cfg.image_hidden,
                           cfg.image_vocab, cfg.image_max_positions, cfg.image_seed)
+    text.validate()
+    image.validate()
     return text, image
 
 
@@ -243,11 +250,9 @@ def _build_rec_model(cfg: RunConfig) -> recsys.RecModel:
 
 
 def _fingerprints(cfg: RunConfig) -> tuple[int, int]:
-    """The (text, image) encoder fingerprints, once both encoder configs are valid."""
-    configs = encoder_configs(cfg)
-    for enc_cfg in configs:
-        enc_cfg.validate()
-    return fingerprint(configs[0]), fingerprint(configs[1])
+    """The (text, image) encoder fingerprints."""
+    text, image = encoder_configs(cfg)
+    return fingerprint(text), fingerprint(image)
 
 
 def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPlan):

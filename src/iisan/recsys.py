@@ -48,7 +48,8 @@ def load_interactions(path) -> InteractionDataset:
     """Parse `user_id<TAB>item_id[ item_id]*` lines, one line per user; item ids
     lie in [0, 2^64), the range a cache record can hold."""
     users: dict[int, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as f:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no int parses: a malformed line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:

@@ -172,14 +172,16 @@ def test_verify_count_mismatch(tmp_path):
     assert any("mismatch" in issue for issue in report.issues)
 
 
-def test_verify_flags_non_finite_payload(tmp_path):
+@pytest.mark.parametrize("count, record, value", [(5, 0, np.nan), (15, 1, np.nan), (150, 149, np.inf)],
+                         ids=["nan-first", "nan-second", "inf-last"])
+def test_verify_flags_non_finite_payload(tmp_path, count, record, value):
     path = tmp_path / "c.iisc"
-    rows = _random_rows(5, 2, 4)
-    rows[0][1][0, 0] = np.nan  # first record is always in the 1% sample
+    rows = _random_rows(count, 2, 4)
+    rows[record][1][1, 3] = value
     cache.write_cache(path, 7, [0, 1], 4, rows)
     report = cache.verify_cache(path)
     assert not report.ok
-    assert any("non-finite" in issue for issue in report.issues)
+    assert report.issues == [f"non-finite payload in record for item {record}"]
 
 
 def test_import_truncated_file_reports_offset(tmp_path):

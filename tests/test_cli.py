@@ -243,6 +243,22 @@ def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):
         _error_line(capsys, "config error:")
 
 
+@pytest.mark.parametrize("target, bad_line, command, prefix, status", [
+    ("interactions.tsv", b"999\t1 2\xff\n", "train", "error:", 3),
+    ("run.cfg", b"train.lr = 0.01  # caf\xe9\n", "gen", "config error:", 2),
+], ids=["interactions", "config"])
+def test_file_that_is_not_utf8_names_its_line(tmp_path, capsys, target, bad_line, command, prefix, status):
+    out = str(tmp_path)
+    assert main(["gen", "--out", out, *SMALL]) == 0
+    (tmp_path / "run.cfg").write_text("seed = 7\n")
+    path = tmp_path / target
+    path.write_bytes(path.read_bytes() + bad_line)
+    last_line = path.read_bytes().count(b"\n")
+    capsys.readouterr()
+    assert main([command, "--out", out, "--config", str(tmp_path / "run.cfg"), *SMALL]) == status
+    assert f"{path}:{last_line}:" in _error_line(capsys, prefix)
+
+
 @pytest.mark.parametrize("command, extra", [
     ("train", []), ("cache", []),  # before `gen` wrote the interactions
     ("gen", ["--config", "missing.cfg"]),
@@ -256,9 +272,9 @@ def test_unreadable_file_is_input_error(tmp_path, capsys, monkeypatch, command, 
 
 @pytest.mark.parametrize("damage", ["cache-nan", "checkpoint-nan", "checkpoint-inf"])
 def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
-    """A NaN in a cache record the verifier does not sample, or a NaN or an
-    infinity in the last checkpoint parameter, ranks nothing: eval names a user
-    and prints no METRICS line."""
+    """A NaN written into a cache record after the cache was built, or a NaN or
+    an infinity in the last checkpoint parameter, ranks nothing: eval names a
+    user and prints no METRICS line."""
     out = str(tmp_path)
     args = [*SMALL, "--set", "train.epochs=1"]
     for command in ("gen", "cache", "train"):
@@ -275,7 +291,7 @@ def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
     raw = bytearray(target.read_bytes())
     struct.pack_into("<f", raw, at, value)
     target.write_bytes(bytes(raw))
-    assert cache.verify_cache(tmp_path / "cache" / "text.iisc").ok  # it samples record 0 only
+    assert cache.verify_cache(tmp_path / "cache" / "text.iisc").ok == (damage != "cache-nan")
     capsys.readouterr()
     assert main(["eval", "--out", out, *args]) == 3
     captured = capsys.readouterr()
@@ -283,14 +299,15 @@ def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
     assert captured.err.startswith("error: user ") and "non-finite score" in captured.err, captured.err
 
 
-@pytest.mark.parametrize("depths", [
+@pytest.mark.parametrize("values", [
     ["variant=va", "text.layers=1", "image.layers=1"], ["text.layers=4", "image.layers=12"],
     ["variant=va", "text.mode=asym_grouped", "text.layers=6", "image.layers=12"],  # no group size fits
-], ids=["va-one-layer", "vs-unequal-depths", "va-grouped-too-shallow"])
-def test_profile_rejects_depths_train_rejects(tmp_path, capsys, depths):
-    """Profile models the towers train would build, so it rejects the same depths."""
+    ["text.hidden=3", "image.hidden=3"], ["text.vocab=0"],  # encoders train cannot build
+], ids=["va-one-layer", "vs-unequal-depths", "va-grouped-too-shallow", "odd-hidden", "empty-vocab"])
+def test_profile_rejects_depths_train_rejects(tmp_path, capsys, values):
+    """Profile models the towers and encoders train would build, so it rejects the same configs."""
     out = str(tmp_path)
-    settings = [arg for setting in depths for arg in ("--set", setting)]
+    settings = [arg for setting in values for arg in ("--set", setting)]
     assert main(["gen", "--out", out, *SMALL]) == 0
     for command in ("train", "profile"):
         capsys.readouterr()
