@@ -11,7 +11,10 @@ accumulates gradients additively for shared inputs.
 There is no broadcasting: binary elementwise operations take equal shapes
 only. Richer patterns (linear layers, row gathers, scalar gates, multi-head
 attention) are separate operations with their own exact backward rules,
-which keeps the correctness surface small.
+which keeps the correctness surface small. Linear layers, attention, layer
+norm and the elementwise operations treat every axis before the last (for
+attention, before the last two) as a batch axis, so one call serves a
+batch of sequences.
 
 Tape entries reference the live input arrays, so `backward` must run before
 any parameter update mutates them; optimizers step from the returned map.
@@ -169,13 +172,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x w + b for a 2-d x, an (n_in, n_out) w and a length-n_out b."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+    """x w + b for an (…, n_in) x, an (n_in, n_out) w and a length-n_out b."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
     out = Tensor(x.data @ w.data + b.data)
+    n_in, n_out = w.shape
 
     def back(og):
-        return og @ w.data.T, x.data.T @ og, og.sum(axis=0)
+        rows = og.reshape(-1, n_out)  # every leading axis is a batch axis
+        return og @ w.data.T, x.data.reshape(-1, n_in).T @ rows, rows.sum(axis=0)
 
     return _emit(out, (x, w, b), back)
 
@@ -268,10 +273,10 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows by index; backward scatter-adds (rows may repeat)."""
+    """Gather rows of a 2-d x by an index of any shape; backward scatter-adds (rows may repeat)."""
     idx = np.asarray(indices, dtype=np.int64)
-    if x.data.ndim != 2 or idx.ndim != 1:
-        raise DimensionError(f"take_rows: expected 2-d source and 1-d index, got {x.shape}")
+    if x.data.ndim != 2:
+        raise DimensionError(f"take_rows: expected a 2-d source, got {x.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError(f"take_rows: index out of range for {x.shape}")
     out = Tensor(np.ascontiguousarray(x.data[idx]))
@@ -280,6 +285,16 @@ def take_rows(x: Tensor, indices) -> Tensor:
         g = np.zeros_like(x.data)
         np.add.at(g, idx, og)
         return (g,)
+
+    return _emit(out, (x,), back)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in another shape."""
+    out = Tensor(x.data.reshape(shape))
+
+    def back(og):
+        return (og.reshape(x.shape),)
 
     return _emit(out, (x,), back)
 
@@ -304,24 +319,25 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None) -> Tensor:
-    """Multi-head scaled dot-product attention over (s, h) queries, keys and values.
+    """Multi-head scaled dot-product attention over (…, s, h) queries, keys and values.
 
     Head i owns columns [i h/heads, (i+1) h/heads) and computes the row softmax
     of q_i k_i^T / sqrt(h/heads) + mask, times v_i; `mask` is an additive (s, s)
-    array or None. The heads' outputs sit side by side.
+    array or None, shared by every leading (batch) index. The heads' outputs
+    sit side by side.
     """
-    if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[1] % heads
-            or (mask is not None and np.shape(mask) != (q.shape[0],) * 2)):
+    if (q.data.ndim < 2 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[-1] % heads
+            or (mask is not None and np.shape(mask) != (q.shape[-2],) * 2)):
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, mask {np.shape(mask)} "
                              f"and {heads} heads do not fit")
     if mask is not None:
         mask = np.asarray(mask, dtype=q.dtype)
-    d = q.shape[1] // heads
+    d = q.shape[-1] // heads
     c = q.dtype.type(1.0 / math.sqrt(d))
-    cols = [slice(i * d, (i + 1) * d) for i in range(heads)]
+    cols = [np.s_[..., i * d:(i + 1) * d] for i in range(heads)]
     saved, outs = [], []
     for col in cols:  # contiguous q_i, k_i^T and v_i per head
-        qh, kt, vh = (np.ascontiguousarray(x) for x in (q.data[:, col], k.data[:, col].T, v.data[:, col]))
+        qh, kt, vh = (np.ascontiguousarray(x) for x in (q.data[col], _mT(k.data[col]), v.data[col]))
         z = (qh @ kt) * c
         if mask is not None:
             z = z + mask
@@ -329,20 +345,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         p = (e / e.sum(axis=-1, keepdims=True)).astype(q.dtype)
         saved.append((qh, kt, vh, p))
         outs.append(p @ vh)
-    out = Tensor(np.concatenate(outs, axis=1))
+    out = Tensor(np.concatenate(outs, axis=-1))
 
     def back(og):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         for col, (qh, kt, vh, p) in zip(cols, saved):
-            oh = np.ascontiguousarray(og[:, col])
-            dp = oh @ vh.T
-            dv[:, col] = p.T @ oh
+            oh = np.ascontiguousarray(og[col])
+            dp = oh @ _mT(vh)
+            dv[col] = _mT(p) @ oh
             dz = ((dp - (dp * p).sum(axis=-1, keepdims=True)) * p) * c
-            dq[:, col] = dz @ kt.T
-            dk[:, col] = (qh.T @ dz).T
+            dq[col] = dz @ _mT(kt)
+            dk[col] = _mT(_mT(qh) @ dz)
         return dq, dk, dv
 
     return _emit(out, (q, k, v), back)
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The last two axes swapped, as a view; `a.T` for a 2-d a."""
+    return np.swapaxes(a, -1, -2)
 
 
 def sum_all(x: Tensor) -> Tensor:

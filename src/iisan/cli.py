@@ -144,12 +144,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("gen.strength must lie in [0, 1]")
     if cfg.text_max_positions < TEXT_TOKEN_COUNT or cfg.image_max_positions < IMAGE_TOKEN_COUNT:
         raise ConfigError("encoder max_positions too small for synthetic item token counts")
-    for least, names in ((1, ("train_batch", "train_epochs", "seq_dim", "seq_blocks", "seq_max_len",
-                              "san_bottleneck", "gen_users", "profile_batch")),
+    for least, names in ((1, ("train_batch", "train_epochs", "seq_dim", "seq_blocks", "seq_heads",
+                              "seq_max_len", "san_bottleneck", "gen_users", "profile_batch")),
                          (0, ("seed", "text_seed", "image_seed"))):
         for name in names:
             if getattr(cfg, name) < least:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be >= {least}, got {getattr(cfg, name)}")
+    if cfg.seq_dim % cfg.seq_heads:
+        raise ConfigError(f"seq.heads must divide seq.dim {cfg.seq_dim}, got {cfg.seq_heads}")
     for name in ("seq_max_len", "seq_blocks", "seq_heads", "text_layers", "image_layers"):
         if getattr(cfg, name) > recsys.U16_MAX:  # the checkpoint and cache store these as u16
             raise ConfigError(f"{_FIELD_TO_KEY[name]} must be <= {recsys.U16_MAX}, got {getattr(cfg, name)}")

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -149,13 +149,18 @@ class SeqEncoder:
         self.ln_out = LayerNorm(dim, "seq.ln_out")
 
     def states(self, item_embs: Tensor, drop=None) -> Tensor:
-        """Per-position states for a (s, dim) embedded sequence, causal."""
-        s = item_embs.shape[0]
+        """Per-position states of (…, s, dim) embedded sequences, causal.
+
+        Windows batched along the leading axes are right-padded to a common s:
+        a real position never attends to the pads after it.
+        """
+        s = item_embs.shape[-2]
         if s == 0:
             raise InputError("empty item sequence")
         if s > self.max_seq_len:
             raise ContractError(f"sequence length {s} exceeds max_seq_len {self.max_seq_len}")
-        x = ad.add(item_embs, ad.take_rows(self.pos_table.tensor, np.arange(s)))
+        positions = np.broadcast_to(np.arange(s), item_embs.shape[:-1])
+        x = ad.add(item_embs, ad.take_rows(self.pos_table.tensor, positions))
         if drop is not None:
             x = drop(x)
         mask = causal_mask(s, dtype=item_embs.data.dtype)
@@ -298,9 +303,14 @@ def batch_windows(users: Sequence[int], split: Split, max_seq_len: int) -> dict[
 
 
 def user_states(seq: SeqEncoder, item_matrix: Tensor, col: Mapping[int, int],
-                windows: Sequence[list[int]], drop=None) -> list[Tensor]:
-    """Per-position states of each item window; `col` maps items to matrix rows."""
-    return [seq.states(ad.take_rows(item_matrix, [col[v] for v in w]), drop) for w in windows]
+                windows: Sequence[list[int]], drop=None) -> Tensor:
+    """(windows, L, dim) states of item windows right-padded to the longest, L,
+    in one sequence pass; `col` maps items to matrix rows. Pads embed row 0,
+    and no real position reads their states."""
+    rows = np.zeros((len(windows), max(len(w) for w in windows)), dtype=np.int64)
+    for i, w in enumerate(windows):
+        rows[i, :len(w)] = [col[v] for v in w]
+    return seq.states(ad.take_rows(item_matrix, rows), drop)
 
 
 def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int],
@@ -309,14 +319,19 @@ def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int
     """Next-item loss over every position of every window, against in-batch items."""
     users = sorted(windows)
     col = {item: i for i, item in enumerate(candidates)}
-    rows = user_states(seq, item_matrix, col, [windows[u][:-1] for u in users], drop)
+    inputs = [windows[u][:-1] for u in users]
+    states = user_states(seq, item_matrix, col, inputs, drop)
+    width = states.shape[1]
+    # the real positions, user by user, then position by position
+    real = np.concatenate([i * width + np.arange(len(w)) for i, w in enumerate(inputs)])
+    rows = ad.take_rows(ad.reshape(states, (-1, seq.dim)), real)
     positives: list[int] = []
     owned: list[set[int]] = []
     for u in users:
         targets = windows[u][1:]
         positives.extend(targets)
         owned.extend([set(split.train[u])] * len(targets))
-    logits = ad.matmul(ad.concat(rows, 0), ad.transpose(item_matrix))
+    logits = ad.matmul(rows, ad.transpose(item_matrix))
     return inbatch_debiased_ce(logits, candidates, popularity, positives, owned)
 
 
@@ -377,33 +392,39 @@ class MetricReport:
         return f"METRICS hr10={self.hr_at_10:.6f} ndcg10={self.ndcg_at_10:.6f} users={self.evaluated_user_count}"
 
 
-def rank_pessimistic(scores: np.ndarray, target_col: int) -> int:
-    """1-based rank of the target with equal scores counted ahead of it."""
-    ts = scores[target_col]
-    greater = int((scores > ts).sum())
-    equal_others = int((scores == ts).sum()) - 1
-    return greater + equal_others + 1
+EVAL_CHUNK = 32  # users per sequence pass in `evaluate`; keeps eval's peak memory below training's
+CUTOFF = 10  # the k of HR@k and NDCG@k
+_DISCOUNT = np.array([1.0 / math.log2(rank + 1) for rank in range(1, CUTOFF + 1)])  # NDCG gain by rank
 
 
-def metrics_from_scores(score_rows: Iterable[tuple[np.ndarray, int]]) -> MetricReport:
-    """HR@10 and NDCG@10 over (scores, target column) rows."""
-    hrs = []
-    ndcgs = []
-    for scores, target_col in score_rows:
-        rank = rank_pessimistic(scores, target_col)
-        hrs.append(1.0 if rank <= 10 else 0.0)
-        ndcgs.append(1.0 / math.log2(rank + 1) if rank <= 10 else 0.0)
-    if not hrs:
+def rank_pessimistic(scores: np.ndarray, target_cols: Sequence[int]) -> np.ndarray:
+    """1-based rank of each row's target column in a (rows, catalog) score
+    matrix, with equal scores counted ahead of it."""
+    t = np.take_along_axis(scores, np.asarray(target_cols, dtype=np.int64)[:, None], axis=1)
+    return (scores > t).sum(axis=1) + (scores == t).sum(axis=1)
+
+
+def metrics_from_ranks(ranks: np.ndarray) -> MetricReport:
+    """HR@10 and NDCG@10 over 1-based ranks."""
+    if not len(ranks):
         raise InputError("no users to evaluate")
-    return MetricReport(float(np.mean(hrs)), float(np.mean(ndcgs)), len(hrs))
+    hit = ranks <= CUTOFF
+    gains = np.where(hit, _DISCOUNT[np.minimum(ranks, CUTOFF) - 1], 0.0)
+    return MetricReport(float(np.mean(hit)), float(np.mean(gains)), len(ranks))
+
+
+def metrics_from_scores(scores: np.ndarray, target_cols: Sequence[int]) -> MetricReport:
+    """HR@10 and NDCG@10 over a (users, catalog) score matrix and each user's target column."""
+    return metrics_from_ranks(rank_pessimistic(scores, target_cols))
 
 
 def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     """Full-catalog ranking of each user's test item.
 
     The user's window is the train prefix plus the validation item, cut to
-    the model's own length, `rec.seq.max_seq_len`. A non-finite score ranks
-    nothing, so it is an InputError naming the user.
+    the model's own length, `rec.seq.max_seq_len`. Users are scored EVAL_CHUNK
+    at a time, in ascending order. A non-finite score ranks nothing, so it is
+    an InputError naming the first such user.
     """
     catalog = list(split.catalog)
     if not catalog:
@@ -417,25 +438,30 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     text_states, image_states = provider.batch_states(catalog)
     item_matrix = rec.iisan.item_embed(text_states, image_states)
     users = sorted(split.test)
-    windows = [(split.train[u] + [split.val[u]])[-rec.seq.max_seq_len:] for u in users]
-    states = user_states(rec.seq, item_matrix, col, windows)
-    rows = []
-    for u, s in zip(users, states):
-        scores = item_matrix.data @ s.data[-1]
-        if not np.isfinite(scores).all():
-            raise InputError(f"user {u} has a non-finite score: the checkpoint or the item "
-                             "states hold a NaN or an infinity")
-        rows.append((scores, col[split.test[u]]))
-    return metrics_from_scores(rows)
+    ranks = []
+    for start in range(0, len(users), EVAL_CHUNK):
+        chunk = users[start:start + EVAL_CHUNK]
+        windows = [(split.train[u] + [split.val[u]])[-rec.seq.max_seq_len:] for u in chunk]
+        states = user_states(rec.seq, item_matrix, col, windows).data
+        last = states[np.arange(len(chunk)), [len(w) - 1 for w in windows]]
+        with np.errstate(invalid="ignore", over="ignore"):  # reported below, by user
+            scores = last @ item_matrix.data.T
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            raise InputError(f"user {chunk[int(np.argmin(finite))]} has a non-finite score: the checkpoint "
+                             "or the item states hold a NaN or an infinity")
+        ranks.append(rank_pessimistic(scores, [col[split.test[u]] for u in chunk]))
+    return metrics_from_ranks(np.concatenate(ranks))
 
 
 def popularity_baseline(split: Split, popularity: Mapping[int, float]) -> MetricReport:
     """Rank the catalog by popularity (ties broken by item id) for every user's test item."""
     catalog = sorted(split.catalog, key=lambda item: (-popularity[item], item))
     col = {item: c for c, item in enumerate(catalog)}
+    users = sorted(split.test)
     # minus the position: scores are unique, so the pessimistic rank is the position
-    scores = -np.arange(len(catalog), dtype=np.float64)
-    return metrics_from_scores((scores, col[split.test[u]]) for u in sorted(split.test))
+    scores = np.broadcast_to(-np.arange(len(catalog), dtype=np.float64), (len(users), len(catalog)))
+    return metrics_from_scores(scores, [col[split.test[u]] for u in users])
 
 
 # ---------------------------------------------------------------------------

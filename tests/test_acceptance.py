@@ -161,14 +161,14 @@ def test_c5_metric_oracle():
         users = int(rng.integers(1, 8))
         n = int(rng.integers(2, 51))
         rows = [(np.round(rng.normal(size=n), 2), int(rng.integers(n))) for _ in range(users)]
-        report = metrics_from_scores(rows)
+        report = metrics_from_scores(np.stack([s for s, _ in rows]), [col for _, col in rows])
         hr, ndcg = _brute_force(rows)
         ok &= report.hr_at_10 == hr and report.ndcg_at_10 == ndcg
 
     down = -np.arange(12, dtype=float)
-    rank1 = metrics_from_scores([(down, 0)])
-    rank4 = metrics_from_scores([(down, 3)])
-    rank11 = metrics_from_scores([(down, 10)])
+    rank1 = metrics_from_scores(down[None], [0])
+    rank4 = metrics_from_scores(down[None], [3])
+    rank11 = metrics_from_scores(down[None], [10])
     ok &= rank1.hr_at_10 == 1.0 and rank1.ndcg_at_10 == 1.0
     ok &= abs(rank4.ndcg_at_10 - 1.0 / math.log2(5)) < 1e-12
     ok &= rank11.hr_at_10 == 0.0 and rank11.ndcg_at_10 == 0.0

@@ -201,6 +201,39 @@ def test_attention_gradient_vs_finite_differences(heads, masked):
     assert report.passed, report.per_param
 
 
+def _batched_linear(rng):
+    x, w, b = (_param(rng.normal(size=shape), name, dtype=np.float64)
+               for shape, name in (((2, 3, 4), "x"), ((4, 5), "w"), ((5,), "b")))
+    return [x, w, b], lambda: ad.linear(x.tensor, w.tensor, b.tensor)
+
+
+def _batched_attention(rng):
+    q, k, v = (_param(rng.normal(size=(3, 4, 6)), name, dtype=np.float64) for name in "qkv")
+    return [q, k, v], lambda: ad.attention(q.tensor, k.tensor, v.tensor, 2, causal_mask(4))
+
+
+def _repeating_take_rows(rng):
+    table = _param(rng.normal(size=(4, 3)), "table", dtype=np.float64)
+    return [table], lambda: ad.take_rows(table.tensor, [[1, 3, 1], [0, 1, 1]])
+
+
+def _reshape(rng):
+    x = _param(rng.normal(size=(2, 3, 4)), "x", dtype=np.float64)
+    return [x], lambda: ad.reshape(x.tensor, (6, 4))
+
+
+@pytest.mark.parametrize("build", [_batched_linear, _batched_attention, _repeating_take_rows, _reshape],
+                         ids=["linear-3d", "attention-batched-causal", "take_rows-2d-index", "reshape"])
+def test_batch_axis_gradients_vs_finite_differences(build):
+    rng = np.random.default_rng(4)
+    params, op = build(rng)
+    shape = op().shape
+    weights = Tensor(rng.uniform(0.5, 1.5, size=shape), dtype=np.float64)
+    report = ad.finite_difference_check(params, lambda: ad.sum_all(ad.mul(op(), weights)),
+                                        step=1e-6, tolerance=1e-5)
+    assert report.passed, report.per_param
+
+
 def test_attention_rows_are_convex_mixes_of_values():
     rng = np.random.default_rng(3)
     q, k = (Tensor(rng.normal(size=(4, 6)).astype(np.float32)) for _ in range(2))

@@ -303,7 +303,9 @@ def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
     ["variant=va", "text.layers=1", "image.layers=1"], ["text.layers=4", "image.layers=12"],
     ["variant=va", "text.mode=asym_grouped", "text.layers=6", "image.layers=12"],  # no group size fits
     ["text.hidden=3", "image.hidden=3"], ["text.vocab=0"],  # encoders train cannot build
-], ids=["va-one-layer", "vs-unequal-depths", "va-grouped-too-shallow", "odd-hidden", "empty-vocab"])
+    ["seq.heads=3"],  # does not divide seq.dim 16
+], ids=["va-one-layer", "vs-unequal-depths", "va-grouped-too-shallow", "odd-hidden", "empty-vocab",
+        "seq-heads-not-dividing-dim"])
 def test_profile_rejects_depths_train_rejects(tmp_path, capsys, values):
     """Profile models the towers and encoders train would build, so it rejects the same configs."""
     out = str(tmp_path)
@@ -328,7 +330,7 @@ def cached_run(tmp_path_factory):
     "train.batch=0", "train.epochs=0", "seq.dim=0", "seq.blocks=0", "seq.max_len=0",
     "san.bottleneck=0", "gen.users=0", "profile.batch=0", "train.dropout=1.0",
     "train.dropout=-0.5", "train.lr=nan", "train.lr=inf", "train.lr=0",
-    "seed=-1", "text.seed=-1", "image.seed=-1"])
+    "seed=-1", "text.seed=-1", "image.seed=-1", "seq.heads=0", "seq.heads=3"])
 def test_meaningless_setting_is_config_error(cached_run, capsys, setting):
     capsys.readouterr()
     assert main(["train", "--out", cached_run, *SMALL, "--set", setting]) == 2

@@ -100,6 +100,79 @@ def test_seq_causal_mask_property():
     np.testing.assert_array_equal(full[:3], shorter)
 
 
+def test_batched_states_match_each_window_alone():
+    """Right-padded windows in one pass get, at their real positions, the states
+    each window gets alone; the pads hold noise, which no real position reads."""
+    enc = recsys.SeqEncoder(dim=8, blocks=2, heads=2, max_seq_len=6, seed=1)
+    rng = np.random.default_rng(2)
+    lengths = [2, 6, 3, 5, 4, 1]
+    embs = rng.normal(size=(len(lengths), 6, 8)).astype(np.float32)
+    batched = enc.states(Tensor(embs)).data
+    for i, s in enumerate(lengths[:-1]):
+        np.testing.assert_array_equal(batched[i, :s], enc.states(Tensor(embs[i, :s])).data)
+    # Alone, a one-position window's products are matrix-vector products, and
+    # from 9 positions on numpy's pairwise sum groups a softmax row by its
+    # length; both round differently from the padded pass, within float32 roundoff.
+    np.testing.assert_allclose(batched[-1, :1], enc.states(Tensor(embs[-1, :1])).data, rtol=0, atol=1e-5)
+    wide = recsys.SeqEncoder(dim=16, blocks=2, heads=2, max_seq_len=12, seed=1)
+    embs = rng.normal(size=(12, 12, 16)).astype(np.float32)
+    batched = wide.states(Tensor(embs)).data
+    for s in range(1, 13):
+        np.testing.assert_allclose(batched[s - 1, :s], wide.states(Tensor(embs[s - 1, :s])).data,
+                                   rtol=0, atol=1e-5)
+
+
+def _loss_world(users, seed=5):
+    """Float64 sequence encoder and item matrix, `users` windows of 2-7 items
+    over 24 items, and the split and popularity the loss reads."""
+    rng = np.random.default_rng(seed)
+    seq = recsys.SeqEncoder(dim=8, blocks=2, heads=2, max_seq_len=6, seed=3)
+    for p in seq.parameters():
+        p.tensor.data = p.data.astype(np.float64)
+    windows = {u: [int(v) for v in rng.choice(24, size=int(rng.integers(2, 8)), replace=False)]
+               for u in range(users)}
+    candidates = sorted({v for w in windows.values() for v in w})
+    items = ad.Parameter(Tensor(rng.normal(size=(len(candidates), 8)), dtype=np.float64), "items")
+    split = recsys.Split(windows, {}, {}, 0, tuple(range(24)))
+    popularity = {v: 1.0 / 24 for v in range(24)}
+    return seq, items, candidates, windows, split, popularity
+
+
+def test_sequence_loss_gradients_match_a_per_window_oracle():
+    seq, items, candidates, windows, split, popularity = _loss_world(5)
+    col = {v: i for i, v in enumerate(candidates)}
+
+    def per_window():
+        users = sorted(windows)
+        rows = [seq.states(ad.take_rows(items.tensor, [col[v] for v in windows[u][:-1]])) for u in users]
+        logits = ad.matmul(ad.concat(rows, 0), ad.transpose(items.tensor))
+        positives = [v for u in users for v in windows[u][1:]]
+        owned = [set(split.train[u]) for u in users for _ in windows[u][1:]]
+        return inbatch_debiased_ce(logits, candidates, popularity, positives, owned)
+
+    params = [items, *seq.parameters()]
+    with ad.Tape() as tape:
+        loss = recsys.sequence_loss(seq, items.tensor, candidates, windows, split, popularity)
+    grads = ad.backward(tape, loss, params)
+    with ad.Tape() as tape:
+        expected = per_window()
+    expected_grads = ad.backward(tape, expected, params)
+    assert loss.dtype == np.float64
+    np.testing.assert_allclose(loss.data, expected.data, rtol=1e-12)
+    for name, g in expected_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def test_sequence_loss_tape_entries_do_not_grow_with_users():
+    counts = []
+    for users in (2, 32):
+        seq, items, candidates, windows, split, popularity = _loss_world(users)
+        with ad.Tape() as tape:
+            recsys.sequence_loss(seq, items.tensor, candidates, windows, split, popularity)
+        counts.append(len(tape.entries))
+    assert counts[0] == counts[1]
+
+
 def test_seq_single_item():
     enc = recsys.SeqEncoder(dim=8, blocks=2, heads=2, max_seq_len=6, seed=1)
     out = enc.states(Tensor(np.ones((1, 8), dtype=np.float32)))
@@ -243,16 +316,30 @@ def test_loss_gradient_vs_finite_differences():
 # --- evaluation helpers -----------------------------------------------------------
 
 def test_rank_fixtures():
-    scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    assert rank_pessimistic(scores, 0) == 1
-    assert rank_pessimistic(scores, 3) == 4
-    ties = np.array([2.0, 2.0, 2.0])
-    assert rank_pessimistic(ties, 1) == 3  # equal scores count ahead of the target
+    scores = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]] * 2)
+    assert rank_pessimistic(scores, [0, 3]).tolist() == [1, 4]
+    ties = np.array([[2.0, 2.0, 2.0]])
+    assert rank_pessimistic(ties, [1]).tolist() == [3]  # equal scores count ahead of the target
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranks_of_a_score_matrix_match_the_per_row_definition(data):
+    users, items = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    # few distinct values, so most rows hold ties, the target's included
+    values = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    scores = np.array(data.draw(st.lists(st.lists(values, min_size=items, max_size=items),
+                                         min_size=users, max_size=users)))
+    targets = data.draw(st.lists(st.integers(0, items - 1), min_size=users, max_size=users))
+    expected = []
+    for row, col in zip(scores, targets):  # per row: greater scores, then equal others, then itself
+        expected.append(int((row > row[col]).sum()) + int((row == row[col]).sum()) - 1 + 1)
+    assert rank_pessimistic(scores, targets).tolist() == expected
 
 
 def test_metric_fixtures():
     def single(rank_scores, col):
-        return metrics_from_scores([(rank_scores, col)])
+        return metrics_from_scores(rank_scores[None], [col])
 
     top = single(np.array([9.0, 1.0, 0.0]), 0)
     assert top.hr_at_10 == 1.0 and top.ndcg_at_10 == pytest.approx(1.0)
@@ -281,7 +368,7 @@ def test_metrics_equal_brute_force_oracle():
         n = int(rng.integers(2, 51))
         scores = np.round(rng.normal(size=n), 2)  # rounding forces score ties
         col = int(rng.integers(n))
-        report = metrics_from_scores([(scores, col)])
+        report = metrics_from_scores(scores[None], [col])
         hr, ndcg = _brute_force_metrics([(scores, col)])
         assert report.hr_at_10 == hr
         assert report.ndcg_at_10 == ndcg
