@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .backbone import FrozenEncoder, encode_item, item_tokens
-from .errors import ConfigError, FormatError, InputError, NotFoundError, StalenessError, VersionError
+from .errors import ConfigError, FormatError, InputError, StalenessError, VersionError
 
 MAGIC = b"IISC"
 VERSION = 1
@@ -186,15 +186,20 @@ class CacheStore:
         self._ids = np.ascontiguousarray(self._records["id"])  # else searchsorted copies it per call
 
     def read_items(self, item_ids: Sequence[int]) -> np.ndarray:
-        """The items' (items, kept layers, hidden_dim) float32 states, in the order asked."""
+        """The items' (items, kept layers, hidden_dim) float32 states, in the order asked.
+
+        An item the cache lacks means the data changed after the cache was
+        built: a StalenessError.
+        """
         try:  # as u64: a query of Python ints or int64 would be searched as float64
             query = np.asarray(item_ids, dtype=np.uint64)
         except OverflowError as exc:
-            raise NotFoundError(f"an item id outside [0, 2^64) is not present in cache {self.path}") from exc
+            raise StalenessError(f"an item id outside [0, 2^64) is not present in cache {self.path}") from exc
         rows = np.searchsorted(self._ids, query)
         held = np.searchsorted(self._ids, query, side="right") > rows
         if not held.all():
-            raise NotFoundError(f"item {query[~held][0]} not present in cache {self.path}")
+            raise StalenessError(f"item {query[~held][0]} not present in cache {self.path}; "
+                                 "rerun `iisan cache`")
         return np.asarray(self._records["payload"][rows], dtype=np.float32)
 
     def read_item(self, item_id: int) -> np.ndarray:

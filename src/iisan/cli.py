@@ -4,8 +4,8 @@ Configuration is line-oriented `key = value` text with `#` comments; flags
 override file values, which override defaults. Every command echoes the
 resolved config and its hash so reports are reproducible. Exit statuses:
 0 success, 2 config error, 3 input error (including a file that is missing
-or cannot be read), 4 stale artifact (including a missing cache file), 5
-failed ordering verdict.
+or cannot be read), 4 stale artifact (including a missing cache file or a
+cache without an item of the data), 5 failed ordering verdict.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from .errors import ConfigError, ContractError
 from .layers import Linear
 from .recsys import (EncodeStateProvider, InteractionDataset, SeqEncoder, batch_windows,
                      compute_popularity, seq_param_count, sequence_loss, split_leave_one_out)
-from .sanet import SanBlock, _sanb_params, build_model, plans_for, tower_param_count
+from .sanet import IisanModel, SanBlock, _sanb_params, plans_for, tower_param_count
 
 FFT = "fft"
 EPEFT_ADAPTER = "epeft_adapter"
@@ -310,6 +310,10 @@ def _pooled_item_matrix(encoders, adapters, head, candidates):
 def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> ProbeReport:
     """Run one real training step in `regime` and report where gradients landed.
 
+    `grad_param_names` holds the parameters whose gradient has a non-zero
+    element: a bottleneck block's `down` layer gets none on the first step,
+    because its `up` layer starts at zero.
+
     Every regime differentiates the same sequence loss; only the item matrix
     differs. Both decoupled regimes embed precomputed stacks with the towers
     (caching changes where stacks come from, never what is differentiated),
@@ -331,9 +335,9 @@ def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> Prob
     seq = SeqEncoder(dim=setup.dseq, blocks=2, heads=2, max_seq_len=PROBE_SEQ_LEN, seed=2)
 
     if regime in (DPEFT_CACHED, DPEFT_UNCACHED):
-        towers = build_model("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim,
-                             setup.image_cfg.layers, setup.image_cfg.hidden_dim,
-                             bottleneck=setup.bottleneck, dseq=setup.dseq, seed=1)
+        towers = IisanModel("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim,
+                            setup.image_cfg.layers, setup.image_cfg.hidden_dim,
+                            bottleneck=setup.bottleneck, dseq=setup.dseq, seed=1)
         provider = EncodeStateProvider(text_enc, image_enc, towers.text_plan, towers.image_plan)
         text_states, image_states = provider.batch_states(candidates)
         embed = partial(towers.item_embed, text_states, image_states)
@@ -361,7 +365,7 @@ def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> Prob
     Adam(trainables, lr=1e-3).step(grad_map)
     return ProbeReport(
         regime=regime,
-        grad_param_names=set(grad_map),
+        grad_param_names={name for name, g in grad_map.items() if g.any()},
         all_param_names={p.name for p in all_params},
         backbone_param_names={p.name for p in backbone_params},
         backbone_activations_retained=any(e.scope.startswith("backbone") for e in tape.entries),

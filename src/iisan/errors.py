@@ -41,8 +41,5 @@ class VersionError(FormatError):
 
 
 class StalenessError(IisanError):
-    """On-disk artifact does not match the encoder that should have produced it."""
-
-
-class NotFoundError(IisanError):
-    """A requested record is absent."""
+    """On-disk artifact does not match the encoder that should have produced it,
+    or lacks an item of the data it should cover."""

@@ -20,7 +20,7 @@ ATTENTION_MASK_VALUE = -1e9  # finite stand-in for -inf; exp underflows to exact
 
 
 class Linear:
-    """y = x W + b for 2-d x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed."""
+    """y = x W + b for (…, n_in) x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed."""
 
     def __init__(self, n_in: int, n_out: int, name: str, rng: np.random.Generator,
                  trainable: bool = True, zero_init: bool = False):

@@ -11,6 +11,7 @@ catalog with pessimistic tie-breaking.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -25,8 +26,8 @@ from .backbone import FrozenEncoder, encode_item, item_tokens
 from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact, atomic_write
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
-from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, build_model,
-                    plans_for, tower_param_count)
+from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, plans_for,
+                    tower_param_count)
 
 
 # ---------------------------------------------------------------------------
@@ -472,103 +473,95 @@ def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers:
                     image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
                     dseq: int = 64, seq_blocks: int = 2, seq_heads: int = 2,
                     max_seq_len: int = 10, seed: int = 0) -> RecModel:
-    iisan = build_model(variant, text_layers, text_dim, image_layers, image_dim,
-                        text_mode=text_mode, bottleneck=bottleneck, dseq=dseq, seed=seed)
+    iisan = IisanModel(variant, text_layers, text_dim, image_layers, image_dim,
+                       text_mode=text_mode, bottleneck=bottleneck, dseq=dseq, seed=seed)
     seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
                      max_seq_len=max_seq_len, seed=seed + 1)
     return RecModel(iisan, seq)
 
 
 CHECKPOINT_MAGIC = b"IISM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _VARIANTS = (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC)  # index = on-disk code
-_PLAN_HEAD = struct.Struct("<BHHH")  # mode code, source layers, m, group size (0 = none)
-_DIMS = struct.Struct("<IIIIHHH")  # text, image, bottleneck, dseq, seq blocks, heads, max_seq_len
+_HEADER = struct.Struct("<HBBHHIIIIHHHQQQ")  # after the magic, the fields `save_rec_checkpoint` lists
+_DIMS_AT = 12  # byte offset of the text width, the first field after the layer counts
+_PARAMS_AT = len(CHECKPOINT_MAGIC) + _HEADER.size
+_DIGEST_SIZE = 8
 U16_MAX = 0xFFFF  # largest layer count, seq block count, head count or max_seq_len a u16 field holds
 
 
-def _pack_plan(plan: LayerDropPlan) -> bytes:
-    body = _PLAN_HEAD.pack(MODES.index(plan.mode), plan.source_layers, plan.m, plan.group_size or 0)
-    return body + struct.pack(f"<{plan.m}H", *plan.kept_indices)
-
-
-def _unpack_plan(f) -> LayerDropPlan:
-    start = f.tell()
-    mode_code, src, m, k = _PLAN_HEAD.unpack(_read_exact(f, _PLAN_HEAD.size, "layer-drop plan"))
-    if mode_code >= len(MODES):
-        raise FormatError(f"unknown layer-drop mode code {mode_code}", offset=start)
-    kept = struct.unpack(f"<{m}H", _read_exact(f, 2 * m, "kept layer indices"))
-    return LayerDropPlan(MODES[mode_code], src, tuple(kept), group_size=k or None)
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_SIZE).digest()
 
 
 def save_rec_checkpoint(path, rec: RecModel, encoder_fingerprints: tuple[int, int]) -> None:
-    """IISM v2, little-endian: magic, version u16, variant u8, the text and
-    image plans, the model dimensions, the parameter count u64, the text and
-    image encoder fingerprints u64 each, then every parameter as float32 in
-    declaration order. The file appears whole or not at all."""
-    iisan, params = rec.iisan, rec.parameters()
+    """IISM v3, little-endian: magic, version u16, then the arguments of
+    `build_rec_model`: variant u8, the resolved text layer-drop mode u8, text
+    and image layers u16 each, text, image, bottleneck and dseq widths u32
+    each, seq blocks, heads and max_seq_len u16 each. Then the parameter count
+    u64, the text and image encoder fingerprints u64 each, every parameter as
+    float32 in declaration order, and an 8-byte blake2b digest of every byte
+    before it. The file appears whole or not at all."""
+    iisan, seq, params = rec.iisan, rec.seq, rec.parameters()
     # packed before the file is opened: a field that does not fit leaves the old file whole
-    header = b"".join((CHECKPOINT_MAGIC, struct.pack("<HB", CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant)),
-                       _pack_plan(iisan.text_plan), _pack_plan(iisan.image_plan),
-                       _DIMS.pack(iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
-                                  len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len),
-                       struct.pack("<QQQ", sum(p.data.size for p in params), *encoder_fingerprints)))
+    header = CHECKPOINT_MAGIC + _HEADER.pack(
+        CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant), MODES.index(iisan.text_plan.mode),
+        iisan.text_plan.source_layers, iisan.image_plan.source_layers,
+        iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
+        len(seq.blocks), seq.blocks[0].heads, seq.max_seq_len,
+        sum(p.data.size for p in params), *encoder_fingerprints)
+    body = b"".join([header, *(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in params)])
     with atomic_write(path) as f:
-        f.write(header)
-        for p in params:
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+        f.write(body)
+        f.write(_digest(body))
 
 
 def load_rec_checkpoint(path, expected_fingerprints: tuple[int, int]) -> RecModel:
-    """The checkpoint's model, if it was trained on items from the encoders with
-    the expected (text, image) fingerprints; else a StalenessError."""
+    """The checkpoint's model, built by `build_rec_model`, if it was trained on
+    items from the encoders with the expected (text, image) fingerprints; else
+    a StalenessError. A damaged file is a FormatError."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-        version, variant_code = struct.unpack("<HB", _read_exact(f, 3, "checkpoint version"))
+        (version, variant_code, mode_code, text_layers, image_layers, text_dim, image_dim, bottleneck,
+         dseq, seq_blocks, seq_heads, max_seq_len, total, *fingerprints) = \
+            _HEADER.unpack(_read_exact(f, _HEADER.size, "checkpoint header"))
         if version != CHECKPOINT_VERSION:
             raise VersionError(f"unsupported checkpoint version {version}", offset=4)
         if variant_code >= len(_VARIANTS):
             raise FormatError(f"unknown variant code {variant_code}", offset=6)
-        text_plan = _unpack_plan(f)
-        image_plan = _unpack_plan(f)
-        dims_at = f.tell()
-        text_dim, image_dim, bottleneck, dseq, seq_blocks, seq_heads, max_seq_len = \
-            _DIMS.unpack(_read_exact(f, _DIMS.size, "model dimensions"))
-        (total,) = struct.unpack("<Q", _read_exact(f, 8, "parameter count"))
-        fingerprints = struct.unpack("<QQ", _read_exact(f, 16, "encoder fingerprints"))
-        # checked before anything is allocated: the count against the one the
-        # header describes, the file size against the count
-        described = (tower_param_count(text_dim, image_dim, text_plan.m, bottleneck, dseq,
-                                       _VARIANTS[variant_code] == VARIANT_ASYMMETRIC)
-                     + seq_param_count(dseq, seq_blocks, max_seq_len))
-        if total != described:
-            raise FormatError(f"parameter count {total} does not match the {described} "
-                              "parameters the header describes", offset=dims_at)
-        end, size = f.tell() + 4 * total, os.fstat(f.fileno()).st_size
-        if size != end:
-            raise FormatError(f"checkpoint has {size} bytes, its header implies {end}",
-                              offset=min(size, end))
-        blob = f.read(4 * total)
-    try:
-        derived = plans_for(_VARIANTS[variant_code], text_plan.source_layers, image_plan.source_layers,
-                            text_plan.mode)
-        if derived != (text_plan, image_plan):  # eval would read the wrong layers, or none
-            raise FormatError(f"stored layer-drop plans differ from the ones derived for the "
-                              f"variant and depths: {derived}", offset=7)
-        iisan = IisanModel(_VARIANTS[variant_code], text_plan, image_plan, text_dim,
-                           image_dim, bottleneck, dseq)
-        seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads, max_seq_len=max_seq_len)
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=dims_at) from exc
-    if fingerprints != tuple(expected_fingerprints):
+        if mode_code >= len(MODES):
+            raise FormatError(f"unknown layer-drop mode code {mode_code}", offset=7)
+        variant, text_mode = _VARIANTS[variant_code], MODES[mode_code]
+        try:
+            m = plans_for(variant, text_layers, image_layers, text_mode)[0].m
+            # checked before anything is allocated: the count against the one the
+            # header describes, the file size against the count
+            described = (tower_param_count(text_dim, image_dim, m, bottleneck, dseq,
+                                           variant == VARIANT_ASYMMETRIC)
+                         + seq_param_count(dseq, seq_blocks, max_seq_len))
+            if total != described:
+                raise FormatError(f"parameter count {total} does not match the {described} "
+                                  "parameters the header describes", offset=_DIMS_AT)
+            end, size = _PARAMS_AT + 4 * total + _DIGEST_SIZE, os.fstat(f.fileno()).st_size
+            if size != end:
+                raise FormatError(f"checkpoint has {size} bytes, its header implies {end}",
+                                  offset=min(size, end))
+            rec = build_rec_model(variant, text_layers, text_dim, image_layers, image_dim, text_mode,
+                                  bottleneck, dseq, seq_blocks, seq_heads, max_seq_len)
+        except ConfigError as exc:
+            raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=_DIMS_AT) from exc
+        f.seek(0)
+        body, digest = f.read(end - _DIGEST_SIZE), f.read(_DIGEST_SIZE)
+    if _digest(body) != digest:
+        raise FormatError("checkpoint digest does not match its contents", offset=end - _DIGEST_SIZE)
+    if tuple(fingerprints) != tuple(expected_fingerprints):
         raise StalenessError(
             f"checkpoint {path} was trained on encoders {fingerprints[0]:#x}/{fingerprints[1]:#x} "
             f"(text/image), expected {expected_fingerprints[0]:#x}/{expected_fingerprints[1]:#x}; "
             "retrain, or set the encoders it was trained with")
-    rec = RecModel(iisan, seq)
-    flat, offset = np.frombuffer(blob, dtype="<f4"), 0
+    flat, offset = np.frombuffer(body, dtype="<f4", offset=_PARAMS_AT), 0
     for p in rec.parameters():  # declaration order, as saved
         n = p.data.size
         p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(np.float32)

@@ -180,26 +180,22 @@ class InterTower(_Tower):
 
 
 class IisanModel:
-    """Three towers, optional dimension transform, and the fusion layer."""
+    """Three towers, optional dimension transform, and the fusion layer, over
+    the layer-drop plans `plans_for` derives from the variant, depths and text mode."""
 
-    def __init__(self, variant: str, text_plan: LayerDropPlan, image_plan: LayerDropPlan,
-                 text_dim: int, image_dim: int, bottleneck: int, dseq: int,
-                 seed: int = 0):
-        if variant not in (VARIANT_SYMMETRIC, VARIANT_ASYMMETRIC):
-            raise ConfigError(f"unknown variant {variant!r}")
+    def __init__(self, variant: str, text_layers: int, text_dim: int, image_layers: int,
+                 image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
+                 dseq: int = 64, seed: int = 0):
+        self.text_plan, self.image_plan = plans_for(variant, text_layers, image_layers, text_mode)
         if variant == VARIANT_SYMMETRIC and text_dim != image_dim:
             raise ConfigError(f"symmetric variant needs equal hidden dims, got {text_dim} and {image_dim}")
-        if text_plan.m != image_plan.m:
-            raise ConfigError(f"towers must share m: text plan keeps {text_plan.m}, image {image_plan.m}")
 
         self.variant = variant
-        self.text_plan = text_plan
-        self.image_plan = image_plan
         self.text_dim = text_dim
         self.image_dim = image_dim
         self.bottleneck = bottleneck
         self.dseq = dseq
-        m = text_plan.m
+        m = self.m
 
         rng = np.random.default_rng(seed)
         self.intra_text = IntraTower(text_dim, bottleneck, m, "intra_text", rng)
@@ -252,11 +248,3 @@ def plans_for(variant: str, text_layers: int, image_layers: int,
     if mode == MODE_SYMMETRIC_EVEN:
         raise ConfigError("asymmetric variant needs an asymmetric layer-drop mode for the text side")
     return select_layers(mode, text_layers, image_layers), image_plan
-
-
-def build_model(variant: str, text_layers: int, text_dim: int, image_layers: int, image_dim: int,
-                text_mode: Optional[str] = None, bottleneck: int = 16, dseq: int = 64,
-                seed: int = 0) -> IisanModel:
-    """Construct towers from encoder shapes, with plans from `plans_for`."""
-    text_plan, image_plan = plans_for(variant, text_layers, image_layers, text_mode)
-    return IisanModel(variant, text_plan, image_plan, text_dim, image_dim, bottleneck, dseq, seed=seed)

@@ -12,7 +12,7 @@ from iisan import backbone as bb
 from iisan import cache, recsys
 from iisan.recsys import CachedStateProvider
 from iisan.sanet import select_layers
-from iisan.errors import ConfigError, FormatError, InputError, NotFoundError, StalenessError, VersionError
+from iisan.errors import ConfigError, FormatError, InputError, StalenessError, VersionError
 
 
 def _cfg(**kw):
@@ -82,17 +82,17 @@ def test_read_absent_item(tmp_path):
     path = tmp_path / "c.iisc"
     cache.write_cache(path, 7, [0, 1], 4, _random_rows(3, 2, 4))
     store = cache.CacheStore(path)
-    with pytest.raises(NotFoundError, match="item 999 "):
+    with pytest.raises(StalenessError, match="item 999 "):
         store.read_item(999)
-    with pytest.raises(NotFoundError, match="item 999 "):  # one absent id fails the whole batch
+    with pytest.raises(StalenessError, match="item 999 "):  # one absent id fails the whole batch
         store.read_items([2, 999, 0])
     for absent in (-1, 2 ** 64):  # no u64 record holds these
-        with pytest.raises(NotFoundError):
+        with pytest.raises(StalenessError):
             store.read_item(absent)
     cache.write_cache(path, 7, [0, 1], 4, [])
     empty = cache.CacheStore(path)
     for ids in ([0], [2, 0], [2 ** 64 - 1]):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(StalenessError):
             empty.read_items(ids)
 
 

@@ -1,11 +1,12 @@
+import hashlib
 import re
 import struct
 
 import pytest
 
-from iisan import cache, cli, recsys
+from iisan import cache, cli
 from iisan.cli import SyntheticSpec, build_config, config_hash, generate_synthetic, main
-from iisan.errors import ConfigError, FormatError
+from iisan.errors import ConfigError
 
 
 SMALL = [
@@ -150,7 +151,7 @@ def test_damaged_checkpoint_is_input_error(tmp_path, capsys):
     assert main(["train", "--out", out, *args]) == 0
     ckpt = tmp_path / "model.ckpt"
     raw = ckpt.read_bytes()
-    # truncated, unknown variant code, unknown text-plan mode code
+    # truncated, unknown variant code, unknown text mode code
     for damaged in (raw[:10], raw[:6] + b"\x09" + raw[7:], raw[:7] + b"\x09" + raw[8:]):
         ckpt.write_bytes(damaged)
         capsys.readouterr()
@@ -211,26 +212,19 @@ def test_setting_beyond_a_u16_field_is_config_error_and_keeps_the_checkpoint(tmp
         assert (tmp_path / "model.ckpt").read_bytes() == good
 
 
-@pytest.mark.parametrize("kept", [(2, 200), (2, 1)], ids=["index-beyond-encoder", "indices-out-of-order"])
-def test_checkpoint_plans_not_derived_for_the_model_are_format_errors(tmp_path, capsys, kept):
-    """A vs 4x16 checkpoint keeps text blocks (2, 4); other stored indices would make
-    eval read layers the encoder lacks, or the wrong ones."""
+def test_data_with_items_the_cache_lacks_is_stale(tmp_path, capsys):
+    """Interactions regenerated over a larger catalog after `cache` name items
+    the cache files do not hold: train exits 4 and says to rebuild the cache."""
     out = str(tmp_path)
-    args = [*SMALL, "--set", "regime=dpeft_uncached", "--set", "train.epochs=1"]
-    assert main(["gen", "--out", out, *args]) == 0
-    assert main(["train", "--out", out, *args]) == 0
-    ckpt = tmp_path / "model.ckpt"
-    raw = bytearray(ckpt.read_bytes())
-    kept_at = 7 + 7  # after magic, version and variant, then the text plan's fixed fields
-    assert struct.unpack_from("<2H", raw, kept_at) == (2, 4)
-    struct.pack_into("<2H", raw, kept_at, *kept)
-    ckpt.write_bytes(bytes(raw))
-    with pytest.raises(FormatError) as exc:
-        recsys.load_rec_checkpoint(ckpt, (0, 0))  # format errors come first
-    assert exc.value.offset == 7
+    args = [*SMALL, "--set", "train.epochs=1"]
+    assert main(["gen", "--out", out, *args, "--set", "gen.items=20"]) == 0
+    assert main(["cache", "--out", out, *args, "--set", "gen.items=20"]) == 0
+    wider = [*args, "--set", "gen.items=40", "--seed", "8"]
+    assert main(["gen", "--out", out, *wider]) == 0
     capsys.readouterr()
-    assert main(["eval", "--out", out, *args]) == 3
-    assert "byte offset 7" in _error_line(capsys, "error:")
+    assert main(["train", "--out", out, *wider]) == 4
+    err = _error_line(capsys, "stale artifact:")
+    assert "not present in cache" in err and "rerun `iisan cache`" in err, err
 
 
 def test_symmetric_variant_rejects_asymmetric_mode(tmp_path, capsys):
@@ -273,8 +267,9 @@ def test_unreadable_file_is_input_error(tmp_path, capsys, monkeypatch, command, 
 @pytest.mark.parametrize("damage", ["cache-nan", "checkpoint-nan", "checkpoint-inf"])
 def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
     """A NaN written into a cache record after the cache was built, or a NaN or
-    an infinity in the last checkpoint parameter, ranks nothing: eval names a
-    user and prints no METRICS line."""
+    an infinity in the last checkpoint parameter under a digest that matches
+    (a model saved with it), ranks nothing: eval names a user and prints no
+    METRICS line."""
     out = str(tmp_path)
     args = [*SMALL, "--set", "train.epochs=1"]
     for command in ("gen", "cache", "train"):
@@ -287,9 +282,11 @@ def test_non_finite_score_is_input_error(tmp_path, capsys, damage):
         target, at, value = path, first_of_record_1, float("nan")
     else:
         target = tmp_path / "model.ckpt"
-        at, value = target.stat().st_size - 4, float("nan" if damage == "checkpoint-nan" else "inf")
+        at, value = target.stat().st_size - 8 - 4, float("nan" if damage == "checkpoint-nan" else "inf")
     raw = bytearray(target.read_bytes())
     struct.pack_into("<f", raw, at, value)
+    if target.suffix == ".ckpt":  # the checkpoint ends with a blake2b digest of the bytes before it
+        raw[-8:] = hashlib.blake2b(raw[:-8], digest_size=8).digest()
     target.write_bytes(bytes(raw))
     assert cache.verify_cache(tmp_path / "cache" / "text.iisc").ok == (damage != "cache-nan")
     capsys.readouterr()

@@ -6,7 +6,7 @@ from iisan import costmodel as cm
 from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.errors import ConfigError, ContractError
 from iisan.recsys import SeqEncoder
-from iisan.sanet import build_model
+from iisan.sanet import IisanModel
 
 
 def _cfgs(layers=12, hidden=768):
@@ -85,11 +85,11 @@ def test_param_counts_match_real_builders():
     enc = FrozenEncoder(text_cfg)
     assert cm.backbone_param_count(text_cfg) == sum(p.data.size for p in enc.parameters())
 
-    vs = build_model("vs", 8, 16, 8, 16, bottleneck=4, dseq=12, seed=0)
+    vs = IisanModel("vs", 8, 16, 8, 16, bottleneck=4, dseq=12, seed=0)
     assert cm.tower_param_count(16, 16, 4, 4, 12, asymmetric=False) == \
         sum(p.data.size for p in vs.parameters())
 
-    va = build_model("va", 24, 32, 8, 16, bottleneck=4, dseq=12, seed=0)
+    va = IisanModel("va", 24, 32, 8, 16, bottleneck=4, dseq=12, seed=0)
     assert cm.tower_param_count(32, 16, 4, 4, 12, asymmetric=True) == \
         sum(p.data.size for p in va.parameters())
 
@@ -186,6 +186,9 @@ def test_probe_dpeft_backbone_untouched(probes):
         assert report.backbone_weights_unchanged
         assert not report.backbone_activations_retained
         assert report.grad_param_names  # towers and encoder did train
+        # names with a non-zero gradient only: `up` starts at zero, so `down` gets none yet
+        assert "intra_text.block1.down.w" not in report.grad_param_names
+        assert "intra_text.block1.up.w" in report.grad_param_names
 
 
 def test_probe_fft_touches_everything(probes):
@@ -199,6 +202,7 @@ def test_probe_fft_touches_everything(probes):
 def test_probe_epeft_adapters_only_but_activations_retained(probes):
     report = probes[cm.EPEFT_ADAPTER]
     assert any(name.startswith("adapter.") for name in report.grad_param_names)
+    assert not any(name.startswith("adapter.") and ".down." in name for name in report.grad_param_names)
     assert report.grad_param_names.isdisjoint(report.backbone_param_names)
     assert report.backbone_weights_unchanged
     assert report.backbone_activations_retained  # the embedded-adapter memory cost

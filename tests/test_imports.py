@@ -1,5 +1,6 @@
-"""Every module of the package, its tests and its benchmark uses each name it imports,
-and every private module-level name of the package is used somewhere in it."""
+"""Every module of the package, its tests and its benchmark uses each name it imports;
+every private name of the package is read somewhere in it, and every public one
+in it, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
@@ -35,39 +36,72 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level `_name`s (functions, classes, assignments) that no module of
-    the package reads, imports or reaches as an attribute."""
-    defined: dict[str, str] = {}
-    referenced: set[str] = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined.update((name, f"{module}:{node.lineno}") for name in names
-                           if name.startswith("_") and not name.startswith("__"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in referenced]
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Names a module defines at its top level (functions, classes, assignment
+    targets) and the methods of its top-level classes, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.extend((f.name, f.lineno) for f in node.body
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and string
+    constants (a tracer names the attributes it wraps by string)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unread_names(defining: dict[str, str], reading: dict[str, str], private: bool) -> list[str]:
+    """Names the `defining` modules define, private (`_name`) or public, that no
+    `reading` module reads. Dunder names are neither."""
+    read = set().union(*(reads(ast.parse(source)) for source in reading.values()))
+    return sorted(f"{name} ({module}:{line})" for module, source in defining.items()
+                  for name, line in definitions(ast.parse(source))
+                  if not name.startswith("__") and name.startswith("_") == private and name not in read)
+
+
+def _sources(parts) -> dict[str, str]:
+    return {f"{path.parent.name}/{path.name}": path.read_text(encoding="utf-8")
+            for path in MODULES if path.parent.name in parts}
 
 
 def test_private_name_scanner_flags_only_unused_names():
     sources = {"a": "_used = 1\n_dead = 2\ndef _helper(): return _used\nclass _Gone: pass\n",
                "b": "from .a import _helper\nx = _helper()\n"}
-    assert unreferenced_private_names(sources) == ["_Gone (a:4)", "_dead (a:2)"]
+    assert unread_names(sources, sources, private=True) == ["_Gone (a:4)", "_dead (a:2)"]
 
 
 def test_no_unused_private_names_in_package():
-    package = sorted((ROOT / "src/iisan").glob("*.py"))
-    assert unreferenced_private_names({p.name: p.read_text(encoding="utf-8") for p in package}) == []
+    package = _sources({"iisan"})
+    assert unread_names(package, package, private=True) == []
+
+
+def test_public_name_scanner_flags_only_unread_names():
+    defining = {"m": "VALUE = 1\nOTHER = 2\ndef build(): pass\nclass Box:\n"
+                     "    def get(self): pass\n    def put(self): pass\n    def drop(self): pass\n"
+                     "    def __len__(self): return 0\nclass Gone: pass\n"}
+    reading = {"t": "from m import build\nprint(VALUE)\nBox().get()\n", "b": "TARGETS = [(m, 'put')]\n"}
+    assert unread_names(defining, reading, private=False) == ["Gone (m:9)", "OTHER (m:2)", "drop (m:7)"]
+
+
+def test_every_public_name_of_the_package_is_read():
+    """A public function, class, assignment or method of `src/iisan` that no
+    module of the package, its tests or its benchmark reads is dead code."""
+    assert unread_names(_sources({"iisan"}), _sources({"iisan", "tests", "perfbench"}), private=False) == []

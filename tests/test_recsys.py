@@ -1,5 +1,6 @@
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -525,8 +526,8 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
 FPS = (0x7E47, 0x1A6E)  # the (text, image) encoder fingerprints the test checkpoints record
 
 
-def _va_rec(seed=0):
-    return recsys.build_rec_model("va", 8, 24, 4, 16, text_mode="asym_grouped", bottleneck=4,
+def _va_rec(seed=0, text_mode="asym_grouped"):
+    return recsys.build_rec_model("va", 8, 24, 4, 16, text_mode=text_mode, bottleneck=4,
                                   dseq=16, seq_blocks=2, seq_heads=2, max_seq_len=6, seed=seed)
 
 
@@ -536,8 +537,11 @@ def _header_fields(rec):
             len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len)
 
 
-@pytest.mark.parametrize("build", [_tiny_rec, _va_rec], ids=["vs", "va-asym_grouped"])
+@pytest.mark.parametrize("build", [_tiny_rec, _va_rec, partial(_va_rec, text_mode=None)],
+                         ids=["vs", "va-asym_grouped", "va-default-mode"])
 def test_checkpoint_roundtrip_through_disk(tmp_path, build):
+    """The header stores the resolved text mode, so a model built without one
+    loads with the plans it was trained on."""
     rec = build(seed=4)
     rng = np.random.default_rng(14)
     for p in rec.parameters():
@@ -545,7 +549,7 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
     path = tmp_path / "m.ckpt"
     recsys.save_rec_checkpoint(path, rec, FPS)
     loaded = recsys.load_rec_checkpoint(path, FPS)
-    assert _header_fields(loaded) == _header_fields(rec)  # plans include the group size
+    assert _header_fields(loaded) == _header_fields(rec)  # plans include the mode and group size
     assert (loaded.iisan.dtl is None) == (rec.iisan.variant == "vs")
     for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
         assert a.name == b.name
@@ -582,21 +586,20 @@ def test_version_1_checkpoint_is_version_error(tmp_path):
     assert exc.value.offset == 4
 
 
+DIMS_AT = 12  # magic, version u16, variant and mode codes u8, text and image layers u16
+COUNT_AT = DIMS_AT + 22  # after four u32 widths and three u16 seq fields
+
+
 @pytest.fixture(scope="module")
 def va_checkpoint(tmp_path_factory):
-    """Bytes of a va/asym_grouped checkpoint, the offsets of its code bytes, and a
-    path to write damaged copies to."""
+    """Bytes of a va/asym_grouped checkpoint and a path to write damaged copies to."""
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
-    rec = _va_rec()
-    recsys.save_rec_checkpoint(path, rec, FPS)
-    image_mode_at = 7 + 7 + 2 * rec.iisan.text_plan.m  # after the header and the text plan
-    # field -> (byte offset, first unknown code)
-    codes = {"variant": (6, 2), "text mode": (7, 3), "image mode": (image_mode_at, 3)}
-    return path.read_bytes(), codes, path
+    recsys.save_rec_checkpoint(path, _va_rec(), FPS)
+    return path.read_bytes(), path
 
 
 def test_checkpoint_truncated_at_every_offset(va_checkpoint):
-    raw, _, path = va_checkpoint
+    raw, path = va_checkpoint
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError) as exc:
@@ -607,12 +610,12 @@ def test_checkpoint_truncated_at_every_offset(va_checkpoint):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_checkpoint_reader_raises_only_format_errors(va_checkpoint, data):
-    """An unknown variant or mode code, alone or with a truncation, is a FormatError
-    (VersionError is one) with a byte offset."""
-    raw, codes, path = va_checkpoint
-    at, first_unknown = codes[data.draw(st.sampled_from(sorted(codes)))]
+    """A changed byte anywhere in the file, alone or with a truncation, is a
+    FormatError (VersionError is one) with a byte offset."""
+    raw, path = va_checkpoint
+    at = data.draw(st.integers(0, len(raw) - 1))
     damaged = bytearray(raw)
-    damaged[at] = data.draw(st.integers(first_unknown, 255))
+    damaged[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
     cut = data.draw(st.integers(at + 1, len(raw)))
     path.write_bytes(bytes(damaged[:cut]))
     with pytest.raises(FormatError) as exc:
@@ -624,33 +627,29 @@ def test_checkpoint_reader_raises_only_format_errors(va_checkpoint, data):
 def test_checkpoint_without_a_buildable_model_is_format_error(va_checkpoint, patch):
     """Header fields that decode but describe no model (no heads, heads not dividing
     dseq=16, or a symmetric variant over unequal widths) fail at the dimensions block."""
-    raw, _, path = va_checkpoint
-    plans = _va_rec().iisan
-    dims_at = 7 + 2 * 7 + 2 * (plans.text_plan.m + plans.image_plan.m)  # header, two plans
+    raw, path = va_checkpoint
     damaged = bytearray(raw)
     if patch == "variant=vs":
         damaged[6] = 0
     else:  # seq heads: the u16 after four u32 widths and the u16 block count
-        damaged[dims_at + 18:dims_at + 20] = struct.pack("<H", int(patch[-1]))
+        damaged[DIMS_AT + 18:DIMS_AT + 20] = struct.pack("<H", int(patch[-1]))
     path.write_bytes(bytes(damaged))
     with pytest.raises(FormatError) as exc:
         recsys.load_rec_checkpoint(path, FPS)
-    assert exc.value.offset == dims_at
+    assert exc.value.offset == DIMS_AT
 
 
 @pytest.mark.parametrize("patch", ["count=2**63", "text_dim=10**9", "8 bytes appended"])
 def test_checkpoint_sizes_are_checked_before_allocation(va_checkpoint, patch):
     """The parameter count must be the one the header describes and the file must
-    end with the last parameter; both are FormatErrors before any allocation."""
-    raw, _, path = va_checkpoint
-    plans = _va_rec().iisan
-    dims_at = 7 + 2 * 7 + 2 * (plans.text_plan.m + plans.image_plan.m)
-    count_at = dims_at + 22  # after four u32 widths and three u16 seq fields
-    damaged, offset = bytearray(raw), dims_at
+    end with the digest after the last parameter; both are FormatErrors before
+    any allocation."""
+    raw, path = va_checkpoint
+    damaged, offset = bytearray(raw), DIMS_AT
     if patch == "count=2**63":
-        damaged[count_at:count_at + 8] = struct.pack("<Q", 2 ** 63)
+        damaged[COUNT_AT:COUNT_AT + 8] = struct.pack("<Q", 2 ** 63)
     elif patch == "text_dim=10**9":
-        damaged[dims_at:dims_at + 4] = struct.pack("<I", 10 ** 9)
+        damaged[DIMS_AT:DIMS_AT + 4] = struct.pack("<I", 10 ** 9)
     else:
         damaged += bytes(8)
         offset = len(raw)
@@ -658,3 +657,21 @@ def test_checkpoint_sizes_are_checked_before_allocation(va_checkpoint, patch):
     with pytest.raises(FormatError) as exc:
         recsys.load_rec_checkpoint(path, FPS)
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("at, value", [(DIMS_AT + 18, 1), (COUNT_AT + 8, 0), (COUNT_AT + 16, 0),
+                                       (COUNT_AT + 24, 0xFF), (-9, 0xFF)],
+                         ids=["seq-heads-2-to-1", "text-fingerprint", "image-fingerprint",
+                              "first-parameter", "last-parameter"])
+def test_change_that_passes_the_header_checks_fails_the_digest(va_checkpoint, at, value):
+    """A byte that still describes a buildable model, a fingerprint byte or a
+    parameter byte changes the digest: a FormatError at the digest, never a
+    model with other weights or a stale-encoder report."""
+    raw, path = va_checkpoint
+    damaged = bytearray(raw)
+    assert damaged[at] != value
+    damaged[at] = value
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(FormatError) as exc:
+        recsys.load_rec_checkpoint(path, FPS)
+    assert exc.value.offset == len(raw) - 8

@@ -6,7 +6,7 @@ from iisan import sanet
 from iisan.autodiff import Tensor
 from iisan.errors import ConfigError, ContractError
 from iisan.sanet import (MODE_ASYM_EVEN_ALL, MODE_ASYM_GROUPED, MODE_SYMMETRIC_EVEN,
-                         build_model, select_layers)
+                         IisanModel, select_layers)
 
 
 # --- layer selection ----------------------------------------------------------
@@ -122,7 +122,7 @@ def _model(variant="vs", text_layers=8, text_dim=6, image_layers=8, image_dim=6,
     kw.setdefault("bottleneck", 3)
     kw.setdefault("dseq", 5)
     kw.setdefault("seed", 7)
-    return build_model(variant, text_layers, text_dim, image_layers, image_dim, **kw)
+    return IisanModel(variant, text_layers, text_dim, image_layers, image_dim, **kw)
 
 
 def _randomize(model, seed=11, scale=0.2):
@@ -263,7 +263,7 @@ def test_inter_asymmetric_matches_dtl_oracle():
 # --- whole model ----------------------------------------------------------------
 
 def test_item_embed_zero_init_shape_and_determinism():
-    model = build_model("vs", 12, 16, 12, 16, bottleneck=4, dseq=64, seed=3)
+    model = IisanModel("vs", 12, 16, 12, 16, bottleneck=4, dseq=64, seed=3)
     text = _random_stack(model.m, 5, 16, seed=16)
     image = _random_stack(model.m, 5, 16, seed=17)
     out = model.item_embed(text, image)
@@ -307,13 +307,13 @@ def test_item_embed_records_one_tape_entry_per_gate():
 
 def test_variant_validation():
     with pytest.raises(ConfigError):
-        build_model("vs", 12, 8, 12, 6)  # unequal dims
+        IisanModel("vs", 12, 8, 12, 6)  # unequal dims
     with pytest.raises(ConfigError):
-        build_model("vs", 12, 8, 10, 8)  # unequal layer counts
+        IisanModel("vs", 12, 8, 10, 8)  # unequal layer counts
     with pytest.raises(ConfigError):
-        build_model("va", 12, 8, 12, 6, text_mode=MODE_SYMMETRIC_EVEN)
+        IisanModel("va", 12, 8, 12, 6, text_mode=MODE_SYMMETRIC_EVEN)
     with pytest.raises(ConfigError):
-        build_model("vx", 12, 8, 12, 8)
+        IisanModel("vx", 12, 8, 12, 8)
     with pytest.raises(ConfigError):
         sanet.plans_for("vs", 12, 12, MODE_ASYM_GROUPED)  # rejected, not silently ignored
 
