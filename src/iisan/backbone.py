@@ -81,29 +81,30 @@ class FrozenEncoder:
         return out
 
 
-def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
-    ids = np.asarray(list(tokens), dtype=np.int64)
+def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int] | np.ndarray) -> np.ndarray:
+    ids = np.asarray(tokens, dtype=np.int64)
     if ids.size == 0:
         raise InputError("token sequence is empty")
-    if ids.size > enc.cfg.max_positions:
-        raise InputError(f"{ids.size} tokens exceed max_positions={enc.cfg.max_positions}")
+    if ids.shape[-1] > enc.cfg.max_positions:
+        raise InputError(f"{ids.shape[-1]} tokens exceed max_positions={enc.cfg.max_positions}")
     if ids.min() < 0 or ids.max() >= enc.cfg.vocab_or_patch_count:
         raise InputError(f"token id out of range [0, {enc.cfg.vocab_or_patch_count})")
     return ids
 
 
-def forward(enc: FrozenEncoder, tokens: Sequence[int],
+def forward(enc: FrozenEncoder, tokens: Sequence[int] | np.ndarray,
             after_block: Optional[Sequence[Callable[[Tensor], Tensor]]] = None) -> list[Tensor]:
-    """The embedding output, then each block's, under the `backbone.<modality>` scope.
+    """The embedding output, then each block's, under the `backbone.<modality>` scope,
+    of token ids shaped (…, tokens), whose leading axes batch items.
 
     `after_block`, one callable per block (an embedded adapter), maps that
     block's output outside the scope before the next block sees it.
     """
     ids = _check_tokens(enc, tokens)
     name = f"backbone.{enc.cfg.modality}"
+    positions = np.broadcast_to(np.arange(ids.shape[-1]), ids.shape)
     with ad.scope(name):
-        x = ad.add(ad.take_rows(enc.token_table.tensor, ids),
-                   ad.take_rows(enc.pos_table.tensor, np.arange(ids.size)))
+        x = ad.add(ad.take_rows(enc.token_table.tensor, ids), ad.take_rows(enc.pos_table.tensor, positions))
     stages = [x]
     for i, block in enumerate(enc.blocks):
         with ad.scope(name):

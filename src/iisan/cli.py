@@ -314,7 +314,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     split = recsys.split_leave_one_out(dataset)
     popularity = recsys.compute_popularity(split)
     rec = _build_rec_model(cfg)
-    provider = _provider(cfg, rec.iisan.text_plan, rec.iisan.image_plan)
+    provider = _provider(cfg, rec.items.text_plan, rec.items.image_plan)
     tc = recsys.TrainConfig(lr=cfg.train_lr, batch_size=cfg.train_batch,
                             epochs=cfg.train_epochs, dropout=cfg.train_dropout, seed=cfg.seed)
     result = recsys.train(rec, split, popularity, provider, tc)
@@ -340,7 +340,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = recsys.load_interactions(cfg.data)
     split = recsys.split_leave_one_out(dataset)
     # plans and window come from the checkpoint; the provider checks them against the encoders
-    provider = _provider(cfg, rec.iisan.text_plan, rec.iisan.image_plan)
+    provider = _provider(cfg, rec.items.text_plan, rec.items.image_plan)
     report = recsys.evaluate(rec, split, provider)
     print(f"EVAL users={report.evaluated_user_count} dropped={split.dropped_users}")
     print(report.machine_line())

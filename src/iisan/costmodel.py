@@ -27,21 +27,20 @@ ratios are meaningful, never absolute values):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Tape
+from .autodiff import Adam, Parameter, Tensor
 from .backbone import (HEADS, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, forward,
                        item_tokens)
 from .cache import cache_file_size
 from .errors import ConfigError, ContractError
 from .layers import Linear
-from .recsys import (EncodeStateProvider, InteractionDataset, SeqEncoder, batch_windows,
-                     compute_popularity, seq_param_count, sequence_loss, split_leave_one_out)
-from .sanet import IisanModel, SanBlock, _sanb_params, plans_for, tower_param_count
+from .recsys import (EncodeStateProvider, InteractionDataset, RecModel, SeqEncoder, build_rec_model,
+                     compute_popularity, seq_param_count, split_leave_one_out, step_loss)
+from .sanet import SanBlock, _sanb_params, plans_for, tower_param_count
 
 FFT = "fft"
 EPEFT_ADAPTER = "epeft_adapter"
@@ -292,19 +291,36 @@ class ProbeSetup:
 PROBE_SEQ_LEN = 6
 
 
-def _pooled_item_matrix(encoders, adapters, head, candidates):
-    """`head` over both encoders' final states at position 0, one row per candidate.
+class PooledItemModel:
+    """The fft and epeft item model, and its own provider: a linear head over both
+    encoders' top states at position 0. `batch_states` gives each encoder's
+    (items, tokens) token-id matrix, and `item_embed` runs one `forward` per
+    encoder over it, with an adapter after each block when `adapters` is set."""
 
-    Each backbone block is followed by its adapter when `adapters` holds one
-    list of blocks per encoder.
-    """
-    rows = []
-    for item_id in candidates:
-        pooled = [ad.take_rows(forward(enc, item_tokens(enc.cfg, item_id),
-                                       None if adapters is None else adapters[side])[-1], [0])
-                  for side, enc in enumerate(encoders)]
-        rows.append(ad.concat(pooled, 1))
-    return head(ad.concat(rows, 0))
+    def __init__(self, text_enc: FrozenEncoder, image_enc: FrozenEncoder, bottleneck: int, dseq: int,
+                 adapters: bool):
+        self.encoders = (text_enc, image_enc)
+        rng = np.random.default_rng(3)
+        self.head = Linear(text_enc.cfg.hidden_dim + image_enc.cfg.hidden_dim, dseq, "head", rng)
+        self.adapters = [[SanBlock(enc.cfg.hidden_dim, bottleneck, f"adapter.{enc.cfg.modality}.block{i}", rng)
+                          for i in range(1, enc.cfg.layers + 1)] if adapters else None
+                         for enc in self.encoders]
+
+    def batch_states(self, item_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.array([item_tokens(enc.cfg, i) for i in item_ids]) for enc in self.encoders)
+
+    def item_embed(self, text_tokens: np.ndarray, image_tokens: np.ndarray) -> Tensor:
+        pooled = []
+        for enc, ids, adapters in zip(self.encoders, (text_tokens, image_tokens), self.adapters):
+            top = forward(enc, ids, adapters)[-1]
+            items, tokens, hidden = top.shape
+            pooled.append(ad.take_rows(ad.reshape(top, (items * tokens, hidden)), np.arange(items) * tokens))
+        return self.head(ad.concat(pooled, 1))
+
+    def parameters(self) -> list[Parameter]:
+        """Encoders (frozen ones too: `backward` and Adam skip them), head and adapters."""
+        out = [p for enc in self.encoders for p in enc.parameters()] + self.head.parameters()
+        return out + [p for side in self.adapters if side for blk in side for p in blk.parameters()]
 
 
 def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> ProbeReport:
@@ -314,55 +330,35 @@ def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> Prob
     element: a bottleneck block's `down` layer gets none on the first step,
     because its `up` layer starts at zero.
 
-    Every regime differentiates the same sequence loss; only the item matrix
-    differs. Both decoupled regimes embed precomputed stacks with the towers
-    (caching changes where stacks come from, never what is differentiated),
-    so they probe equally.
+    Every regime takes one `recsys.step_loss` without dropout, its backward
+    and an Adam step; only the item model differs. Both decoupled regimes
+    embed precomputed stacks with the towers (caching changes where stacks
+    come from, never what is differentiated), so they probe equally.
     """
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
     setup = setup or ProbeSetup.default()
     split = split_leave_one_out(InteractionDataset.from_users(setup.users))
-    popularity = compute_popularity(split)
-    windows = batch_windows(sorted(split.train), split, PROBE_SEQ_LEN)
-    candidates = sorted({item for w in windows.values() for item in w})
-
     fft = regime == FFT
     text_enc = FrozenEncoder(setup.text_cfg, trainable=fft)
     image_enc = FrozenEncoder(setup.image_cfg, trainable=fft)
     backbone_params = text_enc.parameters() + image_enc.parameters()
     snapshot = {p.name: p.data.copy() for p in backbone_params}
-    seq = SeqEncoder(dim=setup.dseq, blocks=2, heads=2, max_seq_len=PROBE_SEQ_LEN, seed=2)
 
     if regime in (DPEFT_CACHED, DPEFT_UNCACHED):
-        towers = IisanModel("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim,
-                            setup.image_cfg.layers, setup.image_cfg.hidden_dim,
-                            bottleneck=setup.bottleneck, dseq=setup.dseq, seed=1)
-        provider = EncodeStateProvider(text_enc, image_enc, towers.text_plan, towers.image_plan)
-        text_states, image_states = provider.batch_states(candidates)
-        embed = partial(towers.item_embed, text_states, image_states)
-        trainables = towers.parameters()
+        rec = build_rec_model("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim, setup.image_cfg.layers,
+                              setup.image_cfg.hidden_dim, bottleneck=setup.bottleneck, dseq=setup.dseq,
+                              max_seq_len=PROBE_SEQ_LEN, seed=1)
+        provider = EncodeStateProvider(text_enc, image_enc, rec.items.text_plan, rec.items.image_plan)
     else:
-        rng = np.random.default_rng(3)
-        head = Linear(setup.text_cfg.hidden_dim + setup.image_cfg.hidden_dim, setup.dseq, "head", rng)
-        trainables = head.parameters()
-        adapters = None
-        if regime == EPEFT_ADAPTER:
-            adapters = [[SanBlock(enc.cfg.hidden_dim, setup.bottleneck,
-                                  f"adapter.{enc.cfg.modality}.block{i + 1}", rng)
-                         for i in range(enc.cfg.layers)] for enc in (text_enc, image_enc)]
-            trainables += [p for side in adapters for blk in side for p in blk.parameters()]
-        if fft:
-            trainables = backbone_params + trainables
-        embed = partial(_pooled_item_matrix, (text_enc, image_enc), adapters, head, candidates)
-    trainables += seq.parameters()
+        provider = PooledItemModel(text_enc, image_enc, setup.bottleneck, setup.dseq, regime == EPEFT_ADAPTER)
+        rec = RecModel(provider, SeqEncoder(dim=setup.dseq, max_seq_len=PROBE_SEQ_LEN, seed=2))
 
-    with Tape() as tape:
-        loss = sequence_loss(seq, embed(), candidates, windows, split, popularity)
+    tape, loss = step_loss(rec, sorted(split.train), split, compute_popularity(split), provider)
     # gradients must be taken before the update: tape entries reference live arrays
-    all_params = trainables if fft else trainables + backbone_params
+    all_params = {p.name: p for p in rec.parameters() + backbone_params}.values()
     grad_map = ad.backward(tape, loss, all_params)
-    Adam(trainables, lr=1e-3).step(grad_map)
+    Adam(rec.parameters(), lr=1e-3).step(grad_map)
     return ProbeReport(
         regime=regime,
         grad_param_names={name for name, g in grad_map.items() if g.any()},

@@ -272,11 +272,15 @@ def _layer_tensors(states: np.ndarray) -> list[Tensor]:
 
 @dataclass
 class RecModel:
-    iisan: IisanModel
+    """`items.item_embed(*provider.batch_states(ids))` embeds item ids, a row each:
+    `IisanModel` towers, the only item model a checkpoint stores, or the fft and
+    epeft `costmodel.PooledItemModel`. `seq` encodes users over those rows."""
+
+    items: IisanModel
     seq: SeqEncoder
 
     def parameters(self) -> list[Parameter]:
-        return self.iisan.parameters() + self.seq.parameters()
+        return self.items.parameters() + self.seq.parameters()
 
 
 @dataclass
@@ -336,20 +340,25 @@ def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int
     return inbatch_debiased_ce(logits, candidates, popularity, positives, owned)
 
 
+def step_loss(rec: RecModel, users: Sequence[int], split: Split, popularity: Mapping[int, float],
+              provider, drop=None) -> tuple[Tape, Tensor]:
+    """The tape and the sequence loss of a batch of users, whose windows are cut to
+    the model's own length, `rec.seq.max_seq_len`."""
+    windows = batch_windows(users, split, rec.seq.max_seq_len)
+    candidates = sorted({item for w in windows.values() for item in w})
+    inputs = provider.batch_states(candidates)
+    with Tape() as tape:
+        item_matrix = rec.items.item_embed(*inputs)
+        loss = sequence_loss(rec.seq, item_matrix, candidates, windows, split, popularity, drop)
+    return tape, loss
+
+
 def train_step(rec: RecModel, users: Sequence[int], split: Split,
                popularity: Mapping[int, float], provider, cfg: TrainConfig,
                opt: Adam, dropout_rng: np.random.Generator) -> float:
-    """One optimizer step over a batch of users; returns the batch loss.
-
-    Windows are cut to the model's own length, `rec.seq.max_seq_len`.
-    """
-    windows = batch_windows(users, split, rec.seq.max_seq_len)
-    candidates = sorted({item for w in windows.values() for item in w})
-    text_states, image_states = provider.batch_states(candidates)
-    with Tape() as tape:
-        item_matrix = rec.iisan.item_embed(text_states, image_states)
-        loss = sequence_loss(rec.seq, item_matrix, candidates, windows, split, popularity,
-                             lambda t: dropout(t, cfg.dropout, dropout_rng))
+    """One optimizer step over a batch of users, with dropout; returns the batch loss."""
+    tape, loss = step_loss(rec, users, split, popularity, provider,
+                           lambda t: dropout(t, cfg.dropout, dropout_rng))
     opt.step(ad.backward(tape, loss, rec.parameters()))
     return float(loss.data)
 
@@ -414,11 +423,6 @@ def metrics_from_ranks(ranks: np.ndarray) -> MetricReport:
     return MetricReport(float(np.mean(hit)), float(np.mean(gains)), len(ranks))
 
 
-def metrics_from_scores(scores: np.ndarray, target_cols: Sequence[int]) -> MetricReport:
-    """HR@10 and NDCG@10 over a (users, catalog) score matrix and each user's target column."""
-    return metrics_from_ranks(rank_pessimistic(scores, target_cols))
-
-
 def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     """Full-catalog ranking of each user's test item.
 
@@ -436,8 +440,7 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
         raise InputError(f"test item of user {missing[0]} is not in the catalog; "
                          "evaluation would silently leak")
 
-    text_states, image_states = provider.batch_states(catalog)
-    item_matrix = rec.iisan.item_embed(text_states, image_states)
+    item_matrix = rec.items.item_embed(*provider.batch_states(catalog))
     users = sorted(split.test)
     ranks = []
     for start in range(0, len(users), EVAL_CHUNK):
@@ -457,12 +460,9 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
 
 def popularity_baseline(split: Split, popularity: Mapping[int, float]) -> MetricReport:
     """Rank the catalog by popularity (ties broken by item id) for every user's test item."""
-    catalog = sorted(split.catalog, key=lambda item: (-popularity[item], item))
-    col = {item: c for c, item in enumerate(catalog)}
-    users = sorted(split.test)
-    # minus the position: scores are unique, so the pessimistic rank is the position
-    scores = np.broadcast_to(-np.arange(len(catalog), dtype=np.float64), (len(users), len(catalog)))
-    return metrics_from_scores(scores, [col[split.test[u]] for u in users])
+    order = sorted(split.catalog, key=lambda item: (-popularity[item], item))
+    rank = {item: r for r, item in enumerate(order, 1)}
+    return metrics_from_ranks(np.array([rank[split.test[u]] for u in sorted(split.test)], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +502,12 @@ def save_rec_checkpoint(path, rec: RecModel, encoder_fingerprints: tuple[int, in
     u64, the text and image encoder fingerprints u64 each, every parameter as
     float32 in declaration order, and an 8-byte blake2b digest of every byte
     before it. The file appears whole or not at all."""
-    iisan, seq, params = rec.iisan, rec.seq, rec.parameters()
+    items, seq, params = rec.items, rec.seq, rec.parameters()
     # packed before the file is opened: a field that does not fit leaves the old file whole
     header = CHECKPOINT_MAGIC + _HEADER.pack(
-        CHECKPOINT_VERSION, _VARIANTS.index(iisan.variant), MODES.index(iisan.text_plan.mode),
-        iisan.text_plan.source_layers, iisan.image_plan.source_layers,
-        iisan.text_dim, iisan.image_dim, iisan.bottleneck, iisan.dseq,
+        CHECKPOINT_VERSION, _VARIANTS.index(items.variant), MODES.index(items.text_plan.mode),
+        items.text_plan.source_layers, items.image_plan.source_layers,
+        items.text_dim, items.image_dim, items.bottleneck, items.dseq,
         len(seq.blocks), seq.blocks[0].heads, seq.max_seq_len,
         sum(p.data.size for p in params), *encoder_fingerprints)
     body = b"".join([header, *(np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in params)])

@@ -15,7 +15,7 @@ from iisan.autodiff import Tensor
 from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache, cache_file_size, header_size, write_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
-from iisan.recsys import TrainConfig, inbatch_debiased_ce, metrics_from_scores
+from iisan.recsys import TrainConfig, inbatch_debiased_ce, metrics_from_ranks, rank_pessimistic
 from iisan.sanet import MODE_ASYM_GROUPED, select_layers
 
 
@@ -56,7 +56,7 @@ def test_c2_cache_equivalence(tmp_path):
         return recsys.build_rec_model("vs", 12, 64, 12, 64, bottleneck=16, dseq=64,
                                       seq_blocks=2, seq_heads=2, max_seq_len=10, seed=5)
 
-    plans = fresh().iisan
+    plans = fresh().items
     build_cache(text_enc, list(split.catalog), plans.text_plan.cache_layers(), tmp_path / "t.iisc")
     build_cache(image_enc, list(split.catalog), plans.image_plan.cache_layers(), tmp_path / "i.iisc")
     cached = recsys.CachedStateProvider(
@@ -161,14 +161,14 @@ def test_c5_metric_oracle():
         users = int(rng.integers(1, 8))
         n = int(rng.integers(2, 51))
         rows = [(np.round(rng.normal(size=n), 2), int(rng.integers(n))) for _ in range(users)]
-        report = metrics_from_scores(np.stack([s for s, _ in rows]), [col for _, col in rows])
+        report = metrics_from_ranks(rank_pessimistic(np.stack([s for s, _ in rows]), [col for _, col in rows]))
         hr, ndcg = _brute_force(rows)
         ok &= report.hr_at_10 == hr and report.ndcg_at_10 == ndcg
 
     down = -np.arange(12, dtype=float)
-    rank1 = metrics_from_scores(down[None], [0])
-    rank4 = metrics_from_scores(down[None], [3])
-    rank11 = metrics_from_scores(down[None], [10])
+    rank1 = metrics_from_ranks(rank_pessimistic(down[None], [0]))
+    rank4 = metrics_from_ranks(rank_pessimistic(down[None], [3]))
+    rank11 = metrics_from_ranks(rank_pessimistic(down[None], [10]))
     ok &= rank1.hr_at_10 == 1.0 and rank1.ndcg_at_10 == 1.0
     ok &= abs(rank4.ndcg_at_10 - 1.0 / math.log2(5)) < 1e-12
     ok &= rank11.hr_at_10 == 0.0 and rank11.ndcg_at_10 == 0.0
@@ -194,13 +194,13 @@ def _fd_world(dtype):
     rng = np.random.default_rng(60)
     for p in rec.parameters():  # every parameter, so the model runs in `dtype`
         p.tensor.data = (rng.normal(size=p.data.shape) * 0.3).astype(dtype)
-    m = rec.iisan.m
+    m = rec.items.m
     text = [Tensor((rng.normal(size=(3, 6))).astype(dtype)) for _ in range(m + 1)]
     image = [Tensor((rng.normal(size=(3, 4))).astype(dtype)) for _ in range(m + 1)]
     pop = {0: 0.3, 1: 0.45, 2: 0.25}
 
     def loss_fn():
-        items = rec.iisan.item_embed(text, image)
+        items = rec.items.item_embed(text, image)
         states = rec.seq.states(ad.take_rows(items, [0, 1, 2]))
         logits = ad.matmul(states, ad.transpose(items))
         return inbatch_debiased_ce(logits, [0, 1, 2], pop, [1, 2, 0],
@@ -237,12 +237,12 @@ def _train_and_eval(variant, text_layers, text_dim, seed, split, pop, tmp_path):
                                  max_seq_len=10, seed=seed)
     tdir = tmp_path / f"{variant}-{seed}"
     tdir.mkdir(exist_ok=True)
-    build_cache(text_enc, list(split.catalog), rec.iisan.text_plan.cache_layers(), tdir / "t.iisc")
-    build_cache(image_enc, list(split.catalog), rec.iisan.image_plan.cache_layers(), tdir / "i.iisc")
+    build_cache(text_enc, list(split.catalog), rec.items.text_plan.cache_layers(), tdir / "t.iisc")
+    build_cache(image_enc, list(split.catalog), rec.items.image_plan.cache_layers(), tdir / "i.iisc")
     provider = recsys.CachedStateProvider(
         CacheStore(tdir / "t.iisc", text_enc.fingerprint),
         CacheStore(tdir / "i.iisc", image_enc.fingerprint),
-        rec.iisan.text_plan, rec.iisan.image_plan)
+        rec.items.text_plan, rec.items.image_plan)
     cfg = TrainConfig(lr=1e-3, batch_size=32, epochs=50, dropout=0.1, seed=seed)
     recsys.train(rec, split, pop, provider, cfg)
     return recsys.evaluate(rec, split, provider).hr_at_10

@@ -69,6 +69,22 @@ def test_encode_input_validation():
         bb.encode_item(enc, [64])
     with pytest.raises(InputError):
         bb.encode_item(enc, list(range(17)))
+    ids = np.array([bb.item_tokens(enc.cfg, i) for i in range(3)])
+    out_of_range = ids.copy()
+    out_of_range[1, 2] = 64
+    for bad in (np.zeros((3, 0), dtype=np.int64), np.zeros((3, 17), dtype=np.int64), out_of_range):
+        with pytest.raises(InputError):
+            bb.forward(enc, bad)
+
+
+def test_batched_forward_equals_per_item_encode():
+    """One `forward` over an (items, tokens) id matrix, pooled at position 0, is
+    the per-item `encode_item` stack bit for bit."""
+    for cfg in (_cfg(layers=24, hidden_dim=48), _cfg(modality="image", layers=12, hidden_dim=64)):
+        enc = bb.FrozenEncoder(cfg)
+        ids = np.array([bb.item_tokens(cfg, i) for i in range(60)])
+        batched = np.stack([x.data[:, 0] for x in bb.forward(enc, ids)], axis=1)
+        np.testing.assert_array_equal(batched, np.stack([bb.encode_item(enc, row) for row in ids]))
 
 
 def test_odd_hidden_dim_rejected():

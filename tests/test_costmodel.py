@@ -1,11 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from iisan import costmodel as cm
+from iisan.autodiff import Tape
 from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.errors import ConfigError, ContractError
-from iisan.recsys import SeqEncoder
+from iisan.recsys import (InteractionDataset, RecModel, SeqEncoder, TrainConfig, compute_popularity, evaluate,
+                          split_leave_one_out, step_loss, train)
 from iisan.sanet import IisanModel
 
 
@@ -214,3 +217,38 @@ def test_probe_and_estimator_agree_on_trained_segments(probes):
     for regime in cm.REGIMES:
         report = cm.estimate(text, image, san, regime)
         assert tuple(sorted(report.weight_grad_segments)) == probes[regime].segments_with_gradients
+
+
+def _pooled_item_model(regime, setup):
+    """The fft or epeft item model over the setup's encoders, as the probe builds it."""
+    encoders = [FrozenEncoder(cfg, trainable=regime == cm.FFT) for cfg in (setup.text_cfg, setup.image_cfg)]
+    return cm.PooledItemModel(*encoders, setup.bottleneck, setup.dseq, adapters=regime == cm.EPEFT_ADAPTER)
+
+
+@pytest.mark.parametrize("regime", [cm.FFT, cm.EPEFT_ADAPTER])
+def test_pooled_item_model_trains_and_evaluates_through_recsys(regime):
+    """`recsys.train` and `evaluate` take the fft and epeft item models as they take towers."""
+    setup = cm.ProbeSetup.default()
+    items = _pooled_item_model(regime, setup)
+    rec = RecModel(items, SeqEncoder(dim=setup.dseq, max_seq_len=cm.PROBE_SEQ_LEN, seed=2))
+    split = split_leave_one_out(InteractionDataset.from_users(setup.users))
+    popularity = compute_popularity(split)
+    users = sorted(split.train)
+    before = float(step_loss(rec, users, split, popularity, items)[1].data)
+    result = train(rec, split, popularity, items, TrainConfig(lr=1e-3, batch_size=2, epochs=3))
+    assert result.steps == 6 and np.isfinite(result.epoch_losses).all()
+    # epoch means of 3 users in batches of 2 average different batches, so the
+    # full batch's loss, without dropout, shows the training
+    assert float(step_loss(rec, users, split, popularity, items)[1].data) < before
+    assert evaluate(rec, split, items).evaluated_user_count == len(split.test)
+
+
+@pytest.mark.parametrize("regime", [cm.FFT, cm.EPEFT_ADAPTER])
+def test_pooled_item_model_tape_entries_do_not_grow_with_items(regime):
+    items = _pooled_item_model(regime, cm.ProbeSetup.default())
+    counts = []
+    for n in (3, 12):
+        with Tape() as tape:
+            items.item_embed(*items.batch_states(range(n)))
+        counts.append(len(tape.entries))
+    assert counts[0] == counts[1] > 0

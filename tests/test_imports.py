@@ -105,3 +105,28 @@ def test_every_public_name_of_the_package_is_read():
     """A public function, class, assignment or method of `src/iisan` that no
     module of the package, its tests or its benchmark reads is dead code."""
     assert unread_names(_sources({"iisan"}), _sources({"iisan", "tests", "perfbench"}), private=False) == []
+
+
+def raised_names(source: str) -> list[tuple[str, int]]:
+    """What each `raise` of a module names, the class called or raised, with its
+    line; a bare `raise` re-raises and names nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((ast.unparse(exc), node.lineno))
+    return found
+
+
+def test_raise_scanner_names_each_raised_class():
+    source = ("try:\n    f()\nexcept KeyError:\n    raise\nraise InputError('x') from None\n"
+              "raise ValueError\nraise errors.FormatError('y', offset=0)\n")
+    assert raised_names(source) == [("InputError", 5), ("ValueError", 6), ("errors.FormatError", 7)]
+
+
+def test_package_raises_only_the_error_taxonomy():
+    """Every error the package raises is a class of `errors.py`, which the CLI maps to an exit status."""
+    taxonomy = {node.name for node in ast.parse((ROOT / "src/iisan/errors.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef)}
+    assert sorted(f"{name} ({module}:{line})" for module, source in _sources({"iisan"}).items()
+                  for name, line in raised_names(source) if name not in taxonomy) == []

@@ -15,7 +15,7 @@ from iisan.cache import CacheStore, build_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
 from iisan.errors import ContractError, FormatError, InputError, StalenessError, VersionError
 from iisan.recsys import (InteractionDataset, TrainConfig, compute_popularity,
-                          inbatch_debiased_ce, metrics_from_scores, popularity_baseline,
+                          inbatch_debiased_ce, metrics_from_ranks, popularity_baseline,
                           rank_pessimistic, split_leave_one_out)
 
 
@@ -340,7 +340,7 @@ def test_ranks_of_a_score_matrix_match_the_per_row_definition(data):
 
 def test_metric_fixtures():
     def single(rank_scores, col):
-        return metrics_from_scores(rank_scores[None], [col])
+        return metrics_from_ranks(rank_pessimistic(rank_scores[None], [col]))
 
     top = single(np.array([9.0, 1.0, 0.0]), 0)
     assert top.hr_at_10 == 1.0 and top.ndcg_at_10 == pytest.approx(1.0)
@@ -369,7 +369,7 @@ def test_metrics_equal_brute_force_oracle():
         n = int(rng.integers(2, 51))
         scores = np.round(rng.normal(size=n), 2)  # rounding forces score ties
         col = int(rng.integers(n))
-        report = metrics_from_scores(scores[None], [col])
+        report = metrics_from_ranks(rank_pessimistic(scores[None], [col]))
         hr, ndcg = _brute_force_metrics([(scores, col)])
         assert report.hr_at_10 == hr
         assert report.ndcg_at_10 == ndcg
@@ -430,7 +430,7 @@ def test_zero_lr_leaves_parameters_unchanged(tmp_path):
     _, split, pop, _, _, text_enc, image_enc = _tiny_world(tmp_path)
     rec = _tiny_rec()
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
-                                          rec.iisan.text_plan, rec.iisan.image_plan)
+                                          rec.items.text_plan, rec.items.image_plan)
     before = {p.name: p.data.copy() for p in rec.parameters()}
     cfg = TrainConfig(lr=0.0, batch_size=8, epochs=1, dropout=0.1, seed=1)
     recsys.train(rec, split, pop, provider, cfg)
@@ -444,7 +444,7 @@ def test_same_seed_bit_identical_loss_curves(tmp_path):
     for _ in range(2):
         rec = _tiny_rec()
         provider = recsys.EncodeStateProvider(text_enc, image_enc,
-                                              rec.iisan.text_plan, rec.iisan.image_plan)
+                                              rec.items.text_plan, rec.items.image_plan)
         cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=5)
         curves.append(recsys.train(rec, split, pop, provider, cfg).epoch_losses)
     assert curves[0] == curves[1]
@@ -452,7 +452,7 @@ def test_same_seed_bit_identical_loss_curves(tmp_path):
 
 def test_cached_and_uncached_training_are_bit_identical(tmp_path):
     _, split, pop, _, _, text_enc, image_enc = _tiny_world(tmp_path)
-    plans = _tiny_rec().iisan
+    plans = _tiny_rec().items
     text_plan, image_plan = plans.text_plan, plans.image_plan
     build_cache(text_enc, list(split.catalog), text_plan.cache_layers(), tmp_path / "t.iisc")
     build_cache(image_enc, list(split.catalog), image_plan.cache_layers(), tmp_path / "i.iisc")
@@ -471,7 +471,7 @@ def test_cached_and_uncached_training_are_bit_identical(tmp_path):
 
 def test_cached_provider_rejects_mismatched_layers(tmp_path):
     _, split, _, _, _, text_enc, image_enc = _tiny_world(tmp_path)
-    plans = _tiny_rec().iisan
+    plans = _tiny_rec().items
     build_cache(text_enc, list(split.catalog), (0, 1), tmp_path / "t.iisc")
     build_cache(image_enc, list(split.catalog), plans.image_plan.cache_layers(), tmp_path / "i.iisc")
     with pytest.raises(StalenessError):
@@ -481,7 +481,7 @@ def test_cached_provider_rejects_mismatched_layers(tmp_path):
 
 def test_encode_provider_rejects_plan_for_other_depth(tmp_path):
     _, _, _, _, _, text_enc, image_enc = _tiny_world(tmp_path)
-    deeper = recsys.build_rec_model("va", 8, 16, 4, 16, bottleneck=4, dseq=16).iisan
+    deeper = recsys.build_rec_model("va", 8, 16, 4, 16, bottleneck=4, dseq=16).items
     with pytest.raises(StalenessError):
         recsys.EncodeStateProvider(text_enc, image_enc, deeper.text_plan, deeper.image_plan)
 
@@ -496,7 +496,7 @@ def test_training_loss_decreases_on_planted_structure(tmp_path):
     rec = recsys.build_rec_model("vs", 4, 16, 4, 16, bottleneck=8, dseq=32,
                                  seq_blocks=2, seq_heads=2, max_seq_len=10, seed=1)
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
-                                          rec.iisan.text_plan, rec.iisan.image_plan)
+                                          rec.items.text_plan, rec.items.image_plan)
     cfg = TrainConfig(lr=1e-3, batch_size=16, epochs=50, dropout=0.1, seed=21)
     result = recsys.train(rec, split, pop, provider, cfg)
     assert result.epoch_losses[-1] < 0.7 * result.epoch_losses[0], result.epoch_losses[::10]
@@ -506,7 +506,7 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
     _, split, pop, _, _, text_enc, image_enc = _tiny_world(tmp_path)
     rec = _tiny_rec()
     provider = recsys.EncodeStateProvider(text_enc, image_enc,
-                                          rec.iisan.text_plan, rec.iisan.image_plan)
+                                          rec.items.text_plan, rec.items.image_plan)
     report = recsys.evaluate(rec, split, provider)
     assert 0.0 <= report.ndcg_at_10 <= 1.0 and 0.0 <= report.hr_at_10 <= 1.0
     assert report.evaluated_user_count == len(split.test)
@@ -532,7 +532,7 @@ def _va_rec(seed=0, text_mode="asym_grouped"):
 
 
 def _header_fields(rec):
-    i = rec.iisan
+    i = rec.items
     return (i.variant, i.text_plan, i.image_plan, i.text_dim, i.image_dim, i.bottleneck, i.dseq,
             len(rec.seq.blocks), rec.seq.blocks[0].heads, rec.seq.max_seq_len)
 
@@ -550,7 +550,7 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
     recsys.save_rec_checkpoint(path, rec, FPS)
     loaded = recsys.load_rec_checkpoint(path, FPS)
     assert _header_fields(loaded) == _header_fields(rec)  # plans include the mode and group size
-    assert (loaded.iisan.dtl is None) == (rec.iisan.variant == "vs")
+    assert (loaded.items.dtl is None) == (rec.items.variant == "vs")
     for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
         assert a.name == b.name
         np.testing.assert_array_equal(a.data, b.data)
