@@ -4,7 +4,8 @@ An encoder is built deterministically from its config seed: an embedding
 stage (token + position tables) followed by pre-norm bidirectional blocks
 with a 4x gelu MLP. Encoding an item pools every stage output at position 0,
 yielding L+1 vectors of width H - the unit that gets cached and consumed by
-the side towers.
+the side towers. Token ids shaped (…, tokens) encode a batch of items in one
+pass; each item's stack has the same bits as when it is encoded alone.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ def forward(enc: FrozenEncoder, tokens: Sequence[int] | np.ndarray,
     return stages
 
 
-def encode_item(enc: FrozenEncoder, tokens: Sequence[int]) -> np.ndarray:
-    """The (layers + 1, hidden_dim) float32 stack of `forward` pooled at position 0."""
-    return np.stack([x.data[0] for x in forward(enc, tokens)]).astype(np.float32)
+def encode_item(enc: FrozenEncoder, tokens: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The (…, layers + 1, hidden_dim) float32 stacks of one `forward` over token
+    ids shaped (…, tokens): every stage pooled at position 0, stacked on axis -2."""
+    return np.stack([x.data[..., 0, :] for x in forward(enc, tokens)], axis=-2).astype(np.float32)
 
 
 def item_tokens(cfg: EncoderConfig, item_id: int) -> list[int]:

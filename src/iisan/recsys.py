@@ -227,8 +227,12 @@ def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
 # item-state providers
 # ---------------------------------------------------------------------------
 
+ENCODE_CHUNK = 64  # items per backbone pass in `EncodeStateProvider.batch_states`
+
+
 class EncodeStateProvider:
-    """Recompute pruned stacks from the frozen encoders on every request."""
+    """Recompute pruned stacks from the frozen encoders on every request, one
+    backbone pass per encoder and ENCODE_CHUNK items."""
 
     def __init__(self, text_encoder: FrozenEncoder, image_encoder: FrozenEncoder,
                  text_plan: LayerDropPlan, image_plan: LayerDropPlan):
@@ -241,8 +245,13 @@ class EncodeStateProvider:
                       (image_encoder, list(image_plan.cache_layers())))
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
-        return tuple(_layer_tensors(np.stack([encode_item(enc, item_tokens(enc.cfg, i))[layers] for i in item_ids]))
-                     for enc, layers in self.sides)
+        out = []
+        for enc, layers in self.sides:
+            tokens = np.array([item_tokens(enc.cfg, i) for i in item_ids])
+            chunks = [encode_item(enc, tokens[start:start + ENCODE_CHUNK])[:, layers]
+                      for start in range(0, len(tokens), ENCODE_CHUNK)]
+            out.append(_layer_tensors(np.concatenate(chunks)))
+        return tuple(out)
 
 
 class CachedStateProvider:
@@ -365,7 +374,10 @@ def train_step(rec: RecModel, users: Sequence[int], split: Split,
 
 def train(rec: RecModel, split: Split, popularity: Mapping[int, float],
           provider, cfg: TrainConfig) -> TrainResult:
-    """Adam over all trainable parameters; deterministic for a fixed seed."""
+    """Adam over all trainable parameters; deterministic for a fixed seed. An
+    epoch's loss is the mean of its step losses weighted by each batch's loss
+    terms, its windows' next-item positions, so every position counts alike
+    whichever batch it falls in."""
     users = [u for u in sorted(split.train) if len(split.train[u]) >= 2]
     if not users:
         raise InputError("no users with at least two training interactions")
@@ -378,13 +390,14 @@ def train(rec: RecModel, split: Split, popularity: Mapping[int, float],
     steps = 0
     for _ in range(cfg.epochs):
         order = [users[i] for i in shuffle_rng.permutation(len(users))]
-        epoch = []
+        epoch, terms = [], []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             epoch.append(train_step(rec, batch, split, popularity, provider, cfg,
                                     opt, dropout_rng))
+            terms.append(sum(len(w) - 1 for w in batch_windows(batch, split, rec.seq.max_seq_len).values()))
             steps += 1
-        losses.append(float(np.mean(epoch)))
+        losses.append(float(np.average(epoch, weights=terms)))
     return TrainResult(losses, steps)
 
 

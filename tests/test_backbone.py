@@ -78,12 +78,15 @@ def test_encode_input_validation():
 
 
 def test_batched_forward_equals_per_item_encode():
-    """One `forward` over an (items, tokens) id matrix, pooled at position 0, is
-    the per-item `encode_item` stack bit for bit."""
-    for cfg in (_cfg(layers=24, hidden_dim=48), _cfg(modality="image", layers=12, hidden_dim=64)):
+    """`encode_item` over an (items, tokens) id matrix, one `forward`, gives an
+    (items, layers + 1, hidden_dim) float32 array whose rows are each item's own
+    `encode_item` stack bit for bit: on c7's encoder pair and a wider image encoder."""
+    for cfg in (bb.EncoderConfig("text", 24, 48, 512, 32, 11), bb.EncoderConfig("image", 12, 32, 256, 32, 22),
+                _cfg(modality="image", layers=12, hidden_dim=64)):
         enc = bb.FrozenEncoder(cfg)
-        ids = np.array([bb.item_tokens(cfg, i) for i in range(60)])
-        batched = np.stack([x.data[:, 0] for x in bb.forward(enc, ids)], axis=1)
+        ids = np.array([bb.item_tokens(cfg, i) for i in range(130)])
+        batched = bb.encode_item(enc, ids)
+        assert batched.shape == (130, cfg.layers + 1, cfg.hidden_dim) and batched.dtype == np.float32
         np.testing.assert_array_equal(batched, np.stack([bb.encode_item(enc, row) for row in ids]))
 
 

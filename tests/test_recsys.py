@@ -1,5 +1,6 @@
 import math
 import struct
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -8,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iisan import autodiff as ad
-from iisan import recsys
+from iisan import backbone, recsys
 from iisan.autodiff import Tensor
 from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
+from iisan.costmodel import PROBE_SEQ_LEN, ProbeSetup
 from iisan.errors import ContractError, FormatError, InputError, StalenessError, VersionError
 from iisan.recsys import (InteractionDataset, TrainConfig, compute_popularity,
                           inbatch_debiased_ce, metrics_from_ranks, popularity_baseline,
                           rank_pessimistic, split_leave_one_out)
+from iisan.sanet import plans_for
 
 
 # --- splits and popularity ------------------------------------------------------
@@ -467,6 +470,71 @@ def test_cached_and_uncached_training_are_bit_identical(tmp_path):
         cfg = TrainConfig(lr=1e-3, batch_size=8, epochs=2, dropout=0.1, seed=9)
         curves.append(recsys.train(rec, split, pop, provider, cfg).epoch_losses)
     assert curves[0] == curves[1]
+
+
+def test_epoch_loss_is_the_terms_weighted_mean_of_step_losses(monkeypatch):
+    """Batches of 2 over the probe's 3 users leave a 1-user last batch; each user's
+    window has 2 loss terms, so the steps weigh 4 and 2."""
+    setup = ProbeSetup.default()
+    split = split_leave_one_out(InteractionDataset.from_users(setup.users))
+    assert all(len(split.train[u]) - 1 == 2 for u in split.train)
+    rec = recsys.build_rec_model("vs", 2, 8, 2, 8, bottleneck=setup.bottleneck, dseq=setup.dseq,
+                                 max_seq_len=PROBE_SEQ_LEN, seed=1)
+    provider = recsys.EncodeStateProvider(FrozenEncoder(setup.text_cfg), FrozenEncoder(setup.image_cfg),
+                                          rec.items.text_plan, rec.items.image_plan)
+    steps = []
+    train_step = recsys.train_step
+
+    def recording(rec, users, *args):
+        steps.append((train_step(rec, users, *args), 2 * len(users)))
+        return steps[-1][0]
+
+    monkeypatch.setattr(recsys, "train_step", recording)
+    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=2, dropout=0.1, seed=3)
+    result = recsys.train(rec, split, compute_popularity(split), provider, cfg)
+    assert [terms for _, terms in steps] == [4, 2, 4, 2]
+    for epoch, loss in enumerate(result.epoch_losses):
+        (a, wa), (b, wb) = steps[2 * epoch:2 * epoch + 2]
+        assert loss == pytest.approx((wa * a + wb * b) / (wa + wb), rel=1e-12)
+        assert loss != pytest.approx((a + b) / 2, rel=1e-12)
+
+
+def test_encode_provider_serves_the_cached_bits_across_chunks(tmp_path):
+    """130 items span three ENCODE_CHUNK passes per encoder of c7's pair; the
+    encoded layers are the bits a per-item cache build stores."""
+    text_enc = FrozenEncoder(EncoderConfig("text", 24, 48, 512, 32, 11))
+    image_enc = FrozenEncoder(EncoderConfig("image", 12, 32, 256, 32, 22))
+    text_plan, image_plan = plans_for("va", 24, 12, "asym_grouped")
+    ids = list(range(7, 7 + 3 * 130, 3))
+    build_cache(text_enc, ids, text_plan.cache_layers(), tmp_path / "t.iisc")
+    build_cache(image_enc, ids, image_plan.cache_layers(), tmp_path / "i.iisc")
+    cached = recsys.CachedStateProvider(CacheStore(tmp_path / "t.iisc", text_enc.fingerprint),
+                                        CacheStore(tmp_path / "i.iisc", image_enc.fingerprint),
+                                        text_plan, image_plan).batch_states(ids)
+    encoded = recsys.EncodeStateProvider(text_enc, image_enc, text_plan, image_plan).batch_states(ids)
+    for cached_side, encoded_side in zip(cached, encoded, strict=True):
+        assert len(cached_side) == len(encoded_side)
+        for c, e in zip(cached_side, encoded_side):
+            np.testing.assert_array_equal(e.data, c.data)
+
+
+def test_encode_provider_runs_one_backbone_pass_per_chunk(monkeypatch):
+    text_enc = FrozenEncoder(EncoderConfig("text", 2, 8, 64, 16, seed=1))
+    image_enc = FrozenEncoder(EncoderConfig("image", 2, 8, 64, 32, seed=2))
+    text_plan, image_plan = plans_for("vs", 2, 2, None)
+    provider = recsys.EncodeStateProvider(text_enc, image_enc, text_plan, image_plan)
+    calls = Counter()
+    forward = backbone.forward
+
+    def counting(enc, tokens, *args):
+        calls[enc.cfg.modality] += 1
+        return forward(enc, tokens, *args)
+
+    monkeypatch.setattr(backbone, "forward", counting)
+    for items, passes in ((50, 1), (130, 3)):
+        calls.clear()
+        provider.batch_states(list(range(items)))
+        assert calls == {"text": passes, "image": passes}
 
 
 def test_cached_provider_rejects_mismatched_layers(tmp_path):
