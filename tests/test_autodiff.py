@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,36 @@ def test_masked_ce_gradient_vs_finite_differences():
     assert report.passed, report.per_param
 
 
+def test_masked_ce_gradient_holds_no_subnormal():
+    # gaps of 80-110 below the row maximum put exp(z - max) in the normal,
+    # subnormal (below ~87.3) and zero (below ~103.3) ranges of float32
+    rng = np.random.default_rng(11)
+    t, c = 6, 64
+    z = (-rng.uniform(80.0, 110.0, size=(t, c))).astype(np.float32)
+    positives = rng.integers(0, c, size=t)
+    z[np.arange(t), positives] = 0.0
+    allowed = rng.uniform(size=(t, c)) > 0.2
+    allowed[np.arange(t), positives] = True
+    logits = _param(z, "logits")
+    with Tape() as tape:
+        loss = ad.masked_softmax_ce(logits.tensor, allowed, positives)
+    g = ad.backward(tape, loss, [logits])["logits"]
+
+    tiny = np.finfo(np.float32).tiny
+    assert int(((g != 0) & (np.abs(g) < tiny)).sum()) == 0
+    rows = np.arange(t)
+    zm = np.where(allowed, z, -np.inf)
+    m = zm.max(axis=1)
+    e = np.exp(zm - m[:, None])
+    assert ((e > 0) & (e < tiny)).any()  # the unflushed formula does meet subnormals here
+    s = e.sum(axis=1)
+    expected = np.asarray(((m + np.log(s)) - z[rows, positives]).mean(), dtype=np.float32)
+    assert loss.data.tobytes() == expected.tobytes()
+    unflushed = (e / s[:, None]) / t
+    unflushed[rows, positives] -= 1.0 / t
+    np.testing.assert_array_equal(g, np.where(np.abs(unflushed) < tiny, 0, unflushed))
+
+
 def test_finite_difference_check_linear_model():
     rng = np.random.default_rng(5)
     w = _param(rng.uniform(-1.0, 1.0, size=(8,)), "w")
@@ -334,6 +365,72 @@ def test_adam_moves_against_gradient():
     opt = Adam([w], lr=0.1)
     opt.step({"w": np.array([1.0], dtype=np.float32)})
     assert float(w.data[0]) < 1.0
+
+
+class _PerParameterAdam:
+    """Adam with its state kept per parameter: the reference for the flat one."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = {p.name: np.zeros_like(p.data) for p in params}
+        self.v = {p.name: np.zeros_like(p.data) for p in params}
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = Adam.beta1, Adam.beta2
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p in self.params:
+            g, m, v = grads[p.name], self.m[p.name], self.v[p.name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + Adam.eps)
+            p.tensor.data -= np.asarray(self.lr * update, dtype=p.data.dtype)
+
+
+def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = {"s": (), "v": (3,), "w": (4, 5)}
+    start = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    flat = [_param(start[n], n) for n in shapes]
+    ref = [_param(start[n], n) for n in shapes]
+    opt, ref_opt = Adam(flat, lr=1e-3), _PerParameterAdam(ref, lr=1e-3)
+    for _ in range(5):
+        grads = {n: rng.normal(size=shape).astype(np.float32) for n, shape in shapes.items()}
+        ref_opt.step(grads)
+        opt.step({**grads, "backbone.only": np.ones(7, dtype=np.float32)})  # not the optimizer's: ignored
+        for a, b in zip(flat, ref):
+            assert a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+
+def test_flat_adam_step_allocates_less_than_one_parameter_buffer():
+    rng = np.random.default_rng(13)
+    params = [_param(rng.normal(size=shape), f"p{i}") for i, shape in enumerate([(), (3,), (256, 128)])]
+    grads = {p.name: rng.normal(size=p.data.shape).astype(np.float32) for p in params}
+    opt = Adam(params, lr=1e-3)
+    opt.step(grads)
+    buffer_bytes = 4 * sum(p.data.size for p in params)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        opt.step(grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffer_bytes, (peak, buffer_bytes)
+
+
+def test_adam_rejects_a_missing_or_misshapen_gradient():
+    w, b = _param(np.ones((2, 3)), "w"), _param(np.zeros(3), "b")
+    opt = Adam([w, b], lr=0.1)
+    with pytest.raises(ContractError, match="'b'"):
+        opt.step({"w": np.ones((2, 3), dtype=np.float32)})
+    with pytest.raises(DimensionError, match="'w'"):
+        opt.step({"w": np.ones(6, dtype=np.float32), "b": np.ones(3, dtype=np.float32)})
+    assert opt.t == 0  # a refused step leaves the optimizer as it was
+    np.testing.assert_array_equal(w.data, np.ones((2, 3)))
 
 
 def test_all_values_finite_after_ops():
