@@ -21,9 +21,9 @@ import numpy as np
 
 from . import costmodel, recsys
 from .backbone import EncoderConfig, FrozenEncoder, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, fingerprint
-from .cache import CacheStore, atomic_write, build_cache, verify_cache
+from .cache import atomic_write, build_cache, verify_cache
 from .errors import ConfigError, IisanError, InputError, StalenessError
-from .sanet import MODES, LayerDropPlan, plans_for
+from .sanet import MODES, plans_for
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,7 +136,7 @@ def build_config(file_values: dict[str, str], overrides: dict[str, str]) -> RunC
 def _validate(cfg: RunConfig) -> None:
     if cfg.variant not in ("vs", "va"):
         raise ConfigError(f"variant must be vs or va, got {cfg.variant!r}")
-    if cfg.regime not in (costmodel.DPEFT_CACHED, costmodel.DPEFT_UNCACHED):
+    if cfg.regime not in (recsys.DPEFT_CACHED, recsys.DPEFT_UNCACHED):
         raise ConfigError(f"training regime must be dpeft_cached or dpeft_uncached, got {cfg.regime!r}")
     if cfg.text_mode and cfg.text_mode not in MODES:
         raise ConfigError(f"unknown text.mode {cfg.text_mode!r}")
@@ -238,40 +238,10 @@ def encoder_configs(cfg: RunConfig) -> tuple[EncoderConfig, EncoderConfig]:
     return text, image
 
 
-def _cache_paths(cfg: RunConfig) -> tuple[Path, Path]:
-    d = Path(cfg.cache_dir)
-    return d / "text.iisc", d / "image.iisc"
-
-
-def _build_rec_model(cfg: RunConfig) -> recsys.RecModel:
-    return recsys.build_rec_model(
-        cfg.variant, cfg.text_layers, cfg.text_hidden, cfg.image_layers, cfg.image_hidden,
-        text_mode=cfg.text_mode,
-        bottleneck=cfg.san_bottleneck, dseq=cfg.seq_dim, seq_blocks=cfg.seq_blocks,
-        seq_heads=cfg.seq_heads, max_seq_len=cfg.seq_max_len, seed=cfg.seed)
-
-
-def _fingerprints(cfg: RunConfig) -> tuple[int, int]:
-    """The (text, image) encoder fingerprints."""
-    text, image = encoder_configs(cfg)
-    return fingerprint(text), fingerprint(image)
-
-
-def _provider(cfg: RunConfig, text_plan: LayerDropPlan, image_plan: LayerDropPlan):
-    """Item states for the model's plans; only the uncached regime builds encoders."""
-    if cfg.regime == costmodel.DPEFT_UNCACHED:
-        text_cfg, image_cfg = encoder_configs(cfg)
-        return recsys.EncodeStateProvider(FrozenEncoder(text_cfg), FrozenEncoder(image_cfg),
-                                          text_plan, image_plan)
-    text_fp, image_fp = _fingerprints(cfg)
-    text_path, image_path = _cache_paths(cfg)
-    try:
-        text_store = CacheStore(text_path, expected_fingerprint=text_fp)
-        image_store = CacheStore(image_path, expected_fingerprint=image_fp)
-    except FileNotFoundError as exc:
-        raise StalenessError(
-            f"cache file missing ({exc.filename}); run `iisan cache` first") from exc
-    return recsys.CachedStateProvider(text_store, image_store, text_plan, image_plan)
+def san_spec(cfg: RunConfig) -> recsys.SanSpec:
+    return recsys.SanSpec(variant=cfg.variant, bottleneck=cfg.san_bottleneck, dseq=cfg.seq_dim,
+                          seq_blocks=cfg.seq_blocks, seq_heads=cfg.seq_heads, seq_len=cfg.seq_max_len,
+                          text_mode=cfg.text_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +263,8 @@ def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
     text_cfg, image_cfg = encoder_configs(cfg)
     text_plan, image_plan = plans_for(cfg.variant, cfg.text_layers, cfg.image_layers, cfg.text_mode)
     Path(cfg.cache_dir).mkdir(parents=True, exist_ok=True)
-    text_path, image_path = _cache_paths(cfg)
-    for enc_cfg, plan, path in ((text_cfg, text_plan, text_path),
-                                (image_cfg, image_plan, image_path)):
+    for enc_cfg, plan in ((text_cfg, text_plan), (image_cfg, image_plan)):
+        path = recsys.cache_path(cfg.cache_dir, enc_cfg.modality)
         encoder = FrozenEncoder(enc_cfg)
         summary = build_cache(encoder, list(dataset.catalog), plan.cache_layers(), path)
         report = verify_cache(path)
@@ -310,11 +279,11 @@ def cmd_cache(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
-    dataset = recsys.load_interactions(cfg.data)
-    split = recsys.split_leave_one_out(dataset)
+    split = recsys.split_leave_one_out(recsys.load_interactions(cfg.data))
     popularity = recsys.compute_popularity(split)
-    rec = _build_rec_model(cfg)
-    provider = _provider(cfg, rec.items.text_plan, rec.items.image_plan)
+    text_cfg, image_cfg = encoder_configs(cfg)
+    rec = recsys.regime_model(cfg.regime, text_cfg, image_cfg, san_spec(cfg), cfg.seed)
+    provider = recsys.state_provider(cfg.regime, text_cfg, image_cfg, rec.items, cfg.cache_dir)
     tc = recsys.TrainConfig(lr=cfg.train_lr, batch_size=cfg.train_batch,
                             epochs=cfg.train_epochs, dropout=cfg.train_dropout, seed=cfg.seed)
     result = recsys.train(rec, split, popularity, provider, tc)
@@ -324,7 +293,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         f.write(f"# config_hash={config_hash(cfg)}\n".encode())
         for epoch, loss in enumerate(result.epoch_losses, 1):
             f.write(f"{epoch}\t{loss:.9f}\n".encode())
-    recsys.save_rec_checkpoint(cfg.checkpoint, rec, _fingerprints(cfg))
+    recsys.save_rec_checkpoint(cfg.checkpoint, rec, (fingerprint(text_cfg), fingerprint(image_cfg)))
 
     for epoch, loss in enumerate(result.epoch_losses, 1):
         print(f"LOSS epoch={epoch} value={loss:.9f}")
@@ -336,11 +305,11 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     if not Path(cfg.checkpoint).exists():
         raise InputError(f"checkpoint {cfg.checkpoint} not found; run `iisan train` first")
-    rec = recsys.load_rec_checkpoint(cfg.checkpoint, _fingerprints(cfg))
-    dataset = recsys.load_interactions(cfg.data)
-    split = recsys.split_leave_one_out(dataset)
+    text_cfg, image_cfg = encoder_configs(cfg)
+    rec = recsys.load_rec_checkpoint(cfg.checkpoint, (fingerprint(text_cfg), fingerprint(image_cfg)))
+    split = recsys.split_leave_one_out(recsys.load_interactions(cfg.data))
     # plans and window come from the checkpoint; the provider checks them against the encoders
-    provider = _provider(cfg, rec.items.text_plan, rec.items.image_plan)
+    provider = recsys.state_provider(cfg.regime, text_cfg, image_cfg, rec.items, cfg.cache_dir)
     report = recsys.evaluate(rec, split, provider)
     print(f"EVAL users={report.evaluated_user_count} dropped={split.dropped_users}")
     print(report.machine_line())
@@ -355,12 +324,9 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
     _echo(cfg)
     text_cfg, image_cfg = encoder_configs(cfg)
-    san = costmodel.SanSpec(variant=cfg.variant, bottleneck=cfg.san_bottleneck,
-                            dseq=cfg.seq_dim, seq_blocks=cfg.seq_blocks,
-                            seq_heads=cfg.seq_heads, seq_len=cfg.seq_max_len, text_mode=cfg.text_mode)
-    reports = [costmodel.estimate(text_cfg, image_cfg, san, regime,
+    reports = [costmodel.estimate(text_cfg, image_cfg, san_spec(cfg), regime,
                                   batch=cfg.profile_batch, catalog_items=cfg.gen_items)
-               for regime in costmodel.REGIMES]
+               for regime in recsys.REGIMES]
     comparison = costmodel.compare(reports)
     for line in comparison.lines:
         print(line)

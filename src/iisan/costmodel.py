@@ -1,6 +1,6 @@
 """Analytic training-cost accounting per fine-tuning regime, plus a live probe.
 
-Regimes
+Regimes (`recsys.SEGMENTS` names each one's trained and traversed segments)
     fft             everything trainable, no towers; a linear head fuses the
                     pooled final states of both encoders
     epeft_adapter   frozen backbone with one trainable bottleneck adapter per
@@ -27,26 +27,20 @@ ratios are meaningful, never absolute values):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from tempfile import TemporaryDirectory
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Parameter, Tensor
-from .backbone import (HEADS, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder, forward,
-                       item_tokens)
-from .cache import cache_file_size
+from .autodiff import Adam
+from .backbone import HEADS, IMAGE_TOKEN_COUNT, TEXT_TOKEN_COUNT, EncoderConfig, FrozenEncoder
+from .cache import build_cache, cache_file_size
 from .errors import ConfigError, ContractError
-from .layers import Linear
-from .recsys import (EncodeStateProvider, InteractionDataset, RecModel, SeqEncoder, build_rec_model,
-                     compute_popularity, seq_param_count, split_leave_one_out, step_loss)
-from .sanet import SanBlock, _sanb_params, plans_for, tower_param_count
-
-FFT = "fft"
-EPEFT_ADAPTER = "epeft_adapter"
-DPEFT_UNCACHED = "dpeft_uncached"
-DPEFT_CACHED = "dpeft_cached"
-REGIMES = (FFT, EPEFT_ADAPTER, DPEFT_UNCACHED, DPEFT_CACHED)
+from .recsys import (DPEFT_CACHED, DPEFT_UNCACHED, EPEFT_ADAPTER, FFT, REGIMES, SEGMENTS, InteractionDataset,
+                     SanSpec, cache_path, compute_popularity, regime_model, seq_param_count, split_leave_one_out,
+                     state_provider, step_loss)
+from .sanet import _sanb_params, plans_for, tower_param_count
 
 CHAIN_ACT_VECTORS = 9
 WGRAD_ACT_VECTORS = 7
@@ -54,19 +48,6 @@ WGRAD_ACT_VECTORS = 7
 
 def block_fwd_flops(s: int, h: int) -> int:
     return 8 * s * h * h + 4 * s * s * h
-
-
-@dataclass(frozen=True)
-class SanSpec:
-    """Shape of the trainable side: towers, fusion, and the sequential encoder."""
-
-    variant: str = "vs"
-    bottleneck: int = 16
-    dseq: int = 64
-    seq_blocks: int = 2
-    seq_heads: int = 2
-    seq_len: int = 10
-    text_mode: str = ""  # the text layer-drop mode; "" takes the variant's default
 
 
 @dataclass(frozen=True)
@@ -116,16 +97,6 @@ def fusion_head_param_count(text_cfg: EncoderConfig, image_cfg: EncoderConfig, d
 
 
 # --- the estimator -------------------------------------------------------------
-
-# regime -> segments whose weights train, and segments the gradient only passes through
-_TRAINED = {
-    FFT: ("backbone", "head", "seq"),
-    EPEFT_ADAPTER: ("adapter", "head", "seq"),
-    DPEFT_UNCACHED: ("tower", "seq"),
-    DPEFT_CACHED: ("tower", "seq"),
-}
-_TRAVERSED = {FFT: (), EPEFT_ADAPTER: ("backbone",), DPEFT_UNCACHED: (), DPEFT_CACHED: ()}
-
 
 def _backbone_act_floats(cfg: EncoderConfig, tokens: int, trained: bool) -> int:
     per_token = cfg.hidden_dim * (CHAIN_ACT_VECTORS + (WGRAD_ACT_VECTORS if trained else 0))
@@ -180,7 +151,7 @@ def estimate(text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec, re
         raise ConfigError("symmetric estimate needs equal hidden dims")
     wl = Workload(batch, seq_lens[0], seq_lens[1], san.seq_len, catalog_items)
     m = plans_for(san.variant, text_cfg.layers, image_cfg.layers, san.text_mode)[0].m
-    trained, traversed = _TRAINED[regime], _TRAVERSED[regime]
+    trained, traversed = SEGMENTS[regime]
     costs = _segment_costs(text_cfg, image_cfg, san, wl, m, "backbone" in trained)
     on_tape = trained + traversed
     cache_bytes = 0
@@ -291,38 +262,6 @@ class ProbeSetup:
 PROBE_SEQ_LEN = 6
 
 
-class PooledItemModel:
-    """The fft and epeft item model, and its own provider: a linear head over both
-    encoders' top states at position 0. `batch_states` gives each encoder's
-    (items, tokens) token-id matrix, and `item_embed` runs one `forward` per
-    encoder over it, with an adapter after each block when `adapters` is set."""
-
-    def __init__(self, text_enc: FrozenEncoder, image_enc: FrozenEncoder, bottleneck: int, dseq: int,
-                 adapters: bool):
-        self.encoders = (text_enc, image_enc)
-        rng = np.random.default_rng(3)
-        self.head = Linear(text_enc.cfg.hidden_dim + image_enc.cfg.hidden_dim, dseq, "head", rng)
-        self.adapters = [[SanBlock(enc.cfg.hidden_dim, bottleneck, f"adapter.{enc.cfg.modality}.block{i}", rng)
-                          for i in range(1, enc.cfg.layers + 1)] if adapters else None
-                         for enc in self.encoders]
-
-    def batch_states(self, item_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.array([item_tokens(enc.cfg, i) for i in item_ids]) for enc in self.encoders)
-
-    def item_embed(self, text_tokens: np.ndarray, image_tokens: np.ndarray) -> Tensor:
-        pooled = []
-        for enc, ids, adapters in zip(self.encoders, (text_tokens, image_tokens), self.adapters):
-            top = forward(enc, ids, adapters)[-1]
-            items, tokens, hidden = top.shape
-            pooled.append(ad.take_rows(ad.reshape(top, (items * tokens, hidden)), np.arange(items) * tokens))
-        return self.head(ad.concat(pooled, 1))
-
-    def parameters(self) -> list[Parameter]:
-        """Encoders (frozen ones too: `backward` and Adam skip them), head and adapters."""
-        out = [p for enc in self.encoders for p in enc.parameters()] + self.head.parameters()
-        return out + [p for side in self.adapters if side for blk in side for p in blk.parameters()]
-
-
 def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> ProbeReport:
     """Run one real training step in `regime` and report where gradients landed.
 
@@ -331,30 +270,25 @@ def gradient_flow_probe(regime: str, setup: Optional[ProbeSetup] = None) -> Prob
     because its `up` layer starts at zero.
 
     Every regime takes one `recsys.step_loss` without dropout, its backward
-    and an Adam step; only the item model differs. Both decoupled regimes
-    embed precomputed stacks with the towers (caching changes where stacks
-    come from, never what is differentiated), so they probe equally.
+    and an Adam step, on the model and item states `recsys.regime_model` and
+    `recsys.state_provider` build for it. dpeft_cached reads a cache that it
+    builds in a temporary directory; its backbone is the encoders that built it.
     """
-    if regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
     setup = setup or ProbeSetup.default()
     split = split_leave_one_out(InteractionDataset.from_users(setup.users))
-    fft = regime == FFT
-    text_enc = FrozenEncoder(setup.text_cfg, trainable=fft)
-    image_enc = FrozenEncoder(setup.image_cfg, trainable=fft)
-    backbone_params = text_enc.parameters() + image_enc.parameters()
-    snapshot = {p.name: p.data.copy() for p in backbone_params}
-
-    if regime in (DPEFT_CACHED, DPEFT_UNCACHED):
-        rec = build_rec_model("vs", setup.text_cfg.layers, setup.text_cfg.hidden_dim, setup.image_cfg.layers,
-                              setup.image_cfg.hidden_dim, bottleneck=setup.bottleneck, dseq=setup.dseq,
-                              max_seq_len=PROBE_SEQ_LEN, seed=1)
-        provider = EncodeStateProvider(text_enc, image_enc, rec.items.text_plan, rec.items.image_plan)
-    else:
-        provider = PooledItemModel(text_enc, image_enc, setup.bottleneck, setup.dseq, regime == EPEFT_ADAPTER)
-        rec = RecModel(provider, SeqEncoder(dim=setup.dseq, max_seq_len=PROBE_SEQ_LEN, seed=2))
-
-    tape, loss = step_loss(rec, sorted(split.train), split, compute_popularity(split), provider)
+    cfgs = (setup.text_cfg, setup.image_cfg)
+    san = SanSpec(bottleneck=setup.bottleneck, dseq=setup.dseq, seq_len=PROBE_SEQ_LEN)
+    rec = regime_model(regime, *cfgs, san, seed=1)
+    with TemporaryDirectory() as cache_dir:
+        built = []  # dpeft_cached reads a cache, and its backbone is the encoders that built it
+        if regime == DPEFT_CACHED:
+            built = [FrozenEncoder(cfg) for cfg in cfgs]
+            for enc, plan in zip(built, (rec.items.text_plan, rec.items.image_plan)):
+                build_cache(enc, split.catalog, plan.cache_layers(), cache_path(cache_dir, enc.cfg.modality))
+        provider = state_provider(regime, *cfgs, rec.items, cache_dir)
+        backbone_params = [p for enc in built or provider.encoders for p in enc.parameters()]
+        snapshot = {p.name: p.data.copy() for p in backbone_params}
+        tape, loss = step_loss(rec, sorted(split.train), split, compute_popularity(split), provider)
     # gradients must be taken before the update: tape entries reference live arrays
     all_params = {p.name: p for p in rec.parameters() + backbone_params}.values()
     grad_map = ad.backward(tape, loss, all_params)

@@ -16,18 +16,19 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Parameter, Tape, Tensor
-from .backbone import FrozenEncoder, encode_item, item_tokens
+from .backbone import EncoderConfig, FrozenEncoder, encode_item, fingerprint, item_tokens
 from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact, atomic_write
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from .layers import LayerNorm, TransformerBlock, causal_mask, dropout
-from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, plans_for,
-                    tower_param_count)
+from .sanet import (MODES, VARIANT_ASYMMETRIC, VARIANT_SYMMETRIC, IisanModel, LayerDropPlan, PooledItemModel,
+                    plans_for, tower_param_count)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +242,12 @@ class EncodeStateProvider:
                 raise StalenessError(
                     f"{enc.cfg.modality} plan was derived for {plan.source_layers} layers, "
                     f"the encoder has {enc.cfg.layers}")
-        self.sides = ((text_encoder, list(text_plan.cache_layers())),
-                      (image_encoder, list(image_plan.cache_layers())))
+        self.encoders = (text_encoder, image_encoder)
+        self.layers = (list(text_plan.cache_layers()), list(image_plan.cache_layers()))
 
     def batch_states(self, item_ids: Sequence[int]) -> tuple[list[Tensor], list[Tensor]]:
         out = []
-        for enc, layers in self.sides:
+        for enc, layers in zip(self.encoders, self.layers):
             tokens = np.array([item_tokens(enc.cfg, i) for i in item_ids])
             chunks = [encode_item(enc, tokens[start:start + ENCODE_CHUNK])[:, layers]
                       for start in range(0, len(tokens), ENCODE_CHUNK)]
@@ -283,9 +284,9 @@ def _layer_tensors(states: np.ndarray) -> list[Tensor]:
 class RecModel:
     """`items.item_embed(*provider.batch_states(ids))` embeds item ids, a row each:
     `IisanModel` towers, the only item model a checkpoint stores, or the fft and
-    epeft `costmodel.PooledItemModel`. `seq` encodes users over those rows."""
+    epeft `sanet.PooledItemModel`. `seq` encodes users over those rows."""
 
-    items: IisanModel
+    items: IisanModel | PooledItemModel
     seq: SeqEncoder
 
     def parameters(self) -> list[Parameter]:
@@ -479,8 +480,36 @@ def popularity_baseline(split: Split, popularity: Mapping[int, float]) -> Metric
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# regimes and checkpoints
 # ---------------------------------------------------------------------------
+
+FFT = "fft"
+EPEFT_ADAPTER = "epeft_adapter"
+DPEFT_UNCACHED = "dpeft_uncached"
+DPEFT_CACHED = "dpeft_cached"
+REGIMES = (FFT, EPEFT_ADAPTER, DPEFT_UNCACHED, DPEFT_CACHED)
+
+# regime -> (segments whose weights train, segments the gradient only passes through)
+SEGMENTS = {
+    FFT: (("backbone", "head", "seq"), ()),
+    EPEFT_ADAPTER: (("adapter", "head", "seq"), ("backbone",)),
+    DPEFT_UNCACHED: (("tower", "seq"), ()),
+    DPEFT_CACHED: (("tower", "seq"), ()),
+}
+
+
+@dataclass(frozen=True)
+class SanSpec:
+    """Shape of the trainable side: towers or head and adapters, and the sequential encoder."""
+
+    variant: str = "vs"
+    bottleneck: int = 16
+    dseq: int = 64
+    seq_blocks: int = 2
+    seq_heads: int = 2
+    seq_len: int = 10
+    text_mode: str = ""  # the text layer-drop mode; "" takes the variant's default
+
 
 def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers: int,
                     image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
@@ -491,6 +520,44 @@ def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers:
     seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
                      max_seq_len=max_seq_len, seed=seed + 1)
     return RecModel(iisan, seq)
+
+
+def regime_model(regime: str, text_cfg: EncoderConfig, image_cfg: EncoderConfig, san: SanSpec,
+                 seed: int) -> RecModel:
+    """Towers when `regime` trains them, else a `PooledItemModel` with trainable
+    encoders iff the backbone trains and adapters iff the adapter segment trains."""
+    if regime not in SEGMENTS:
+        raise ConfigError(f"unknown regime {regime!r}")
+    trained = SEGMENTS[regime][0]
+    if "tower" in trained:
+        return build_rec_model(san.variant, text_cfg.layers, text_cfg.hidden_dim, image_cfg.layers,
+                               image_cfg.hidden_dim, san.text_mode, san.bottleneck, san.dseq,
+                               san.seq_blocks, san.seq_heads, san.seq_len, seed)
+    encoders = [FrozenEncoder(cfg, trainable="backbone" in trained) for cfg in (text_cfg, image_cfg)]
+    items = PooledItemModel(*encoders, san.bottleneck, san.dseq, "adapter" in trained, seed + 2)
+    return RecModel(items, SeqEncoder(san.dseq, san.seq_blocks, san.seq_heads, san.seq_len, seed + 1))
+
+
+def cache_path(cache_dir, modality: str) -> Path:
+    """The cache file of one modality's item states."""
+    return Path(cache_dir) / f"{modality}.iisc"
+
+
+def state_provider(regime: str, text_cfg: EncoderConfig, image_cfg: EncoderConfig, items, cache_dir):
+    """`items` itself when the backbone runs on the tape; else the encoders' states, computed
+    on every request (dpeft_uncached) or read from `cache_dir` with no encoder built (dpeft_cached)."""
+    trained, traversed = SEGMENTS[regime]
+    if "backbone" in trained + traversed:
+        return items
+    plans = items.text_plan, items.image_plan
+    if regime == DPEFT_UNCACHED:
+        return EncodeStateProvider(FrozenEncoder(text_cfg), FrozenEncoder(image_cfg), *plans)
+    try:
+        stores = [CacheStore(cache_path(cache_dir, cfg.modality), expected_fingerprint=fingerprint(cfg))
+                  for cfg in (text_cfg, image_cfg)]
+    except FileNotFoundError as exc:
+        raise StalenessError(f"cache file missing ({exc.filename}); run `iisan cache` first") from exc
+    return CachedStateProvider(*stores, *plans)
 
 
 CHECKPOINT_MAGIC = b"IISM"

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .backbone import FrozenEncoder, forward, item_tokens
 from .errors import ConfigError, ContractError
 from .layers import Linear
 
@@ -225,6 +226,38 @@ class IisanModel:
             out.extend(self.dtl.parameters())
         out.extend(self.fusion.parameters())
         return out
+
+
+class PooledItemModel:
+    """The fft and epeft item model, and its own provider: a linear head over both
+    encoders' top states at position 0. `batch_states` gives each encoder's
+    (items, tokens) token-id matrix, and `item_embed` runs one `forward` per
+    encoder over it, with an adapter after each block when `adapters` is set."""
+
+    def __init__(self, text_enc: FrozenEncoder, image_enc: FrozenEncoder, bottleneck: int, dseq: int,
+                 adapters: bool, seed: int):
+        self.encoders = (text_enc, image_enc)
+        rng = np.random.default_rng(seed)
+        self.head = Linear(text_enc.cfg.hidden_dim + image_enc.cfg.hidden_dim, dseq, "head", rng)
+        self.adapters = [[SanBlock(enc.cfg.hidden_dim, bottleneck, f"adapter.{enc.cfg.modality}.block{i}", rng)
+                          for i in range(1, enc.cfg.layers + 1)] if adapters else None
+                         for enc in self.encoders]
+
+    def batch_states(self, item_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.array([item_tokens(enc.cfg, i) for i in item_ids]) for enc in self.encoders)
+
+    def item_embed(self, text_tokens: np.ndarray, image_tokens: np.ndarray) -> Tensor:
+        pooled = []
+        for enc, ids, adapters in zip(self.encoders, (text_tokens, image_tokens), self.adapters):
+            top = forward(enc, ids, adapters)[-1]
+            items, tokens, hidden = top.shape
+            pooled.append(ad.take_rows(ad.reshape(top, (items * tokens, hidden)), np.arange(items) * tokens))
+        return self.head(ad.concat(pooled, 1))
+
+    def parameters(self) -> list[Parameter]:
+        """Encoders (frozen ones too: `backward` and Adam skip them), head and adapters."""
+        out = [p for enc in self.encoders for p in enc.parameters()] + self.head.parameters()
+        return out + [p for side in self.adapters if side for blk in side for p in blk.parameters()]
 
 
 def plans_for(variant: str, text_layers: int, image_layers: int,

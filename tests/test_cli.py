@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from iisan import cache, cli
+from iisan import cache, cli, recsys
 from iisan.cli import SyntheticSpec, build_config, config_hash, generate_synthetic, main
 from iisan.errors import ConfigError
 
@@ -349,7 +349,8 @@ def test_cached_regime_builds_no_encoder(cached_run, capsys, monkeypatch):
     def no_encoder(*args, **kwargs):
         raise AssertionError("the cached regime built an encoder")
 
-    monkeypatch.setattr(cli, "FrozenEncoder", no_encoder)
+    # the name `recsys.state_provider` resolves when it builds an encoder
+    monkeypatch.setattr(recsys, "FrozenEncoder", no_encoder)
     assert lines() == expected and len(expected) == 3
     for command in ("train", "eval"):
         odd = [*SMALL, "--set", "variant=va", "--set", "text.hidden=3"]

@@ -6,9 +6,10 @@ import pytest
 from iisan import costmodel as cm
 from iisan.autodiff import Tape
 from iisan.backbone import EncoderConfig, FrozenEncoder
+from iisan.cache import CacheStore
 from iisan.errors import ConfigError, ContractError
-from iisan.recsys import (InteractionDataset, RecModel, SeqEncoder, TrainConfig, compute_popularity, evaluate,
-                          split_leave_one_out, step_loss, train)
+from iisan.recsys import (SEGMENTS, EncodeStateProvider, InteractionDataset, SeqEncoder, TrainConfig,
+                          compute_popularity, evaluate, regime_model, split_leave_one_out, step_loss, train)
 from iisan.sanet import IisanModel
 
 
@@ -119,22 +120,38 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("variant", ["vs", "va"])
-def test_estimate_pinned_reports(variant):
-    """Exact reports for every regime on a small symmetric and asymmetric pair."""
+def _pinned_pair(variant):
+    """Encoder configs and side shape of a small symmetric (4x16/4x16) or asymmetric (8x24/4x16) pair."""
     if variant == "vs":
         text = EncoderConfig("text", 4, 16, 512, 32, 1)
         san = cm.SanSpec("vs", bottleneck=4, dseq=8, seq_blocks=1, seq_heads=2, seq_len=6)
     else:
         text = EncoderConfig("text", 8, 24, 512, 32, 1)
         san = cm.SanSpec("va", bottleneck=4, dseq=8, seq_blocks=2, seq_heads=2, seq_len=6)
-    image = EncoderConfig("image", 4, 16, 256, 32, 2)
+    return text, EncoderConfig("image", 4, 16, 256, 32, 2), san
+
+
+@pytest.mark.parametrize("variant", ["vs", "va"])
+def test_estimate_pinned_reports(variant):
+    """Exact reports for every regime on a small symmetric and asymmetric pair."""
+    text, image, san = _pinned_pair(variant)
     for regime, (numbers, trained, traversed) in PINNED[variant].items():
         r = cm.estimate(text, image, san, regime, batch=4, catalog_items=50)
         assert (r.fwd_backbone_flops, r.fwd_peft_flops, r.bwd_flops, r.activation_bytes,
                 r.trainable_params, r.cache_bytes) == numbers, regime
         assert (r.weight_grad_segments, r.traversal_segments) == (trained, traversed), regime
         assert r.workload == cm.Workload(4, 8, 16, 6, 50)
+
+
+@pytest.mark.parametrize("variant", ["vs", "va"])
+@pytest.mark.parametrize("regime", cm.REGIMES)
+def test_regime_model_trains_what_the_table_and_the_cost_model_name(regime, variant):
+    """The model `regime_model` builds trains exactly the segments `SEGMENTS` names,
+    and as many elements as `estimate` counts."""
+    text, image, san = _pinned_pair(variant)
+    trainable = [p for p in regime_model(regime, text, image, san, seed=0).parameters() if p.trainable]
+    assert sum(p.data.size for p in trainable) == cm.estimate(text, image, san, regime).trainable_params
+    assert {cm.segment_of(p.name) for p in trainable} == set(SEGMENTS[regime][0])
 
 
 def test_unknown_regime_rejected():
@@ -219,18 +236,36 @@ def test_probe_and_estimator_agree_on_trained_segments(probes):
         assert tuple(sorted(report.weight_grad_segments)) == probes[regime].segments_with_gradients
 
 
-def _pooled_item_model(regime, setup):
-    """The fft or epeft item model over the setup's encoders, as the probe builds it."""
-    encoders = [FrozenEncoder(cfg, trainable=regime == cm.FFT) for cfg in (setup.text_cfg, setup.image_cfg)]
-    return cm.PooledItemModel(*encoders, setup.bottleneck, setup.dseq, adapters=regime == cm.EPEFT_ADAPTER)
+def test_probe_cached_regime_reads_a_cache(monkeypatch):
+    """The probe's dpeft_cached step reads its item states from a cache, not from the encoders."""
+    calls = {"read_items": 0, "encode": 0}
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    counting(CacheStore, "read_items", "read_items")
+    counting(EncodeStateProvider, "batch_states", "encode")
+    cm.gradient_flow_probe(cm.DPEFT_CACHED)
+    assert calls["read_items"] >= 1 and calls["encode"] == 0
+
+
+def _pooled_model(regime, setup):
+    """The fft or epeft model over the setup's encoders, as the probe builds it."""
+    san = cm.SanSpec(bottleneck=setup.bottleneck, dseq=setup.dseq, seq_len=cm.PROBE_SEQ_LEN)
+    return regime_model(regime, setup.text_cfg, setup.image_cfg, san, seed=1)
 
 
 @pytest.mark.parametrize("regime", [cm.FFT, cm.EPEFT_ADAPTER])
 def test_pooled_item_model_trains_and_evaluates_through_recsys(regime):
     """`recsys.train` and `evaluate` take the fft and epeft item models as they take towers."""
     setup = cm.ProbeSetup.default()
-    items = _pooled_item_model(regime, setup)
-    rec = RecModel(items, SeqEncoder(dim=setup.dseq, max_seq_len=cm.PROBE_SEQ_LEN, seed=2))
+    rec = _pooled_model(regime, setup)
+    items = rec.items
     split = split_leave_one_out(InteractionDataset.from_users(setup.users))
     popularity = compute_popularity(split)
     users = sorted(split.train)
@@ -245,7 +280,7 @@ def test_pooled_item_model_trains_and_evaluates_through_recsys(regime):
 
 @pytest.mark.parametrize("regime", [cm.FFT, cm.EPEFT_ADAPTER])
 def test_pooled_item_model_tape_entries_do_not_grow_with_items(regime):
-    items = _pooled_item_model(regime, cm.ProbeSetup.default())
+    items = _pooled_model(regime, cm.ProbeSetup.default()).items
     counts = []
     for n in (3, 12):
         with Tape() as tape:
