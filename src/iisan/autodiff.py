@@ -89,20 +89,45 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass
 class Parameter:
-    """A named leaf tensor. Non-trainable parameters never receive gradients."""
+    """A named leaf tensor. Non-trainable parameters never receive gradients;
+    the tensor's `requires_grad` is the one flag that says which."""
 
-    tensor: Tensor
-    name: str
-    trainable: bool = True
+    def __init__(self, tensor: Tensor, name: str, trainable: bool = True):
+        self.tensor = tensor
+        self.name = name
+        tensor.requires_grad = trainable
 
-    def __post_init__(self):
-        self.tensor.requires_grad = self.trainable
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
     @property
     def data(self) -> np.ndarray:
         return self.tensor.data
+
+
+class Module:
+    """A model part. `parameters` lists every Parameter its attributes hold, in
+    assignment order: directly, through nested Modules, and through list,
+    tuple and dict values. Any other object, a config or a plan, is not entered."""
+
+    def parameters(self) -> list[Parameter]:
+        out: list[Parameter] = []
+        _collect(vars(self).values(), out)
+        return out
+
+
+def _collect(values: Iterable, out: list[Parameter]) -> None:
+    for v in values:
+        if isinstance(v, Parameter):
+            out.append(v)
+        elif isinstance(v, Module):
+            _collect(vars(v).values(), out)
+        elif isinstance(v, (list, tuple)):
+            _collect(v, out)
+        elif isinstance(v, dict):
+            _collect(v.values(), out)
 
 
 @dataclass

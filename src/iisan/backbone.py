@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError, InputError
 from .layers import TransformerBlock
 
@@ -54,7 +54,7 @@ def fingerprint(cfg: EncoderConfig) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
 
 
-class FrozenEncoder:
+class FrozenEncoder(Module):
     """Deterministic transformer whose weights never receive gradients unless
     explicitly built trainable (the full-fine-tuning regime)."""
 
@@ -68,18 +68,11 @@ class FrozenEncoder:
         prefix = f"backbone.{cfg.modality}"
         tok = (rng.standard_normal((cfg.vocab_or_patch_count, h)) * scale).astype(np.float32)
         pos = (rng.standard_normal((cfg.max_positions, h)) * scale).astype(np.float32)
-        self.token_table = Parameter(Tensor(tok), f"{prefix}.tokens", trainable)
-        self.pos_table = Parameter(Tensor(pos), f"{prefix}.positions", trainable)
-        self.blocks = [
-            TransformerBlock(h, HEADS, f"{prefix}.block{i + 1}", rng, trainable=trainable)
-            for i in range(cfg.layers)
-        ]
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.token_table, self.pos_table]
-        for b in self.blocks:
-            out.extend(b.parameters())
-        return out
+        self.token_table = Parameter(Tensor(tok), f"{prefix}.tokens")
+        self.pos_table = Parameter(Tensor(pos), f"{prefix}.positions")
+        self.blocks = [TransformerBlock(h, HEADS, f"{prefix}.block{i + 1}", rng) for i in range(cfg.layers)]
+        for p in self.parameters():
+            p.tensor.requires_grad = trainable
 
 
 def _check_tokens(enc: FrozenEncoder, tokens: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -13,41 +13,35 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor
 from .errors import ConfigError
 
 ATTENTION_MASK_VALUE = -1e9  # finite stand-in for -inf; exp underflows to exactly 0
 
 
-class Linear:
+class Linear(Module):
     """y = x W + b for (…, n_in) x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed."""
 
     def __init__(self, n_in: int, n_out: int, name: str, rng: np.random.Generator,
-                 trainable: bool = True, zero_init: bool = False):
+                 zero_init: bool = False):
         if zero_init:
             w = np.zeros((n_in, n_out), dtype=np.float32)
         else:
             w = (rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)).astype(np.float32)
-        self.w = Parameter(Tensor(w), f"{name}.w", trainable)
-        self.b = Parameter(Tensor(np.zeros(n_out, dtype=np.float32)), f"{name}.b", trainable)
+        self.w = Parameter(Tensor(w), f"{name}.w")
+        self.b = Parameter(Tensor(np.zeros(n_out, dtype=np.float32)), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w.tensor, self.b.tensor)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
-
-class LayerNorm:
-    def __init__(self, dim: int, name: str, trainable: bool = True):
-        self.gain = Parameter(Tensor(np.ones(dim, dtype=np.float32)), f"{name}.gain", trainable)
-        self.offset = Parameter(Tensor(np.zeros(dim, dtype=np.float32)), f"{name}.offset", trainable)
+class LayerNorm(Module):
+    def __init__(self, dim: int, name: str):
+        self.gain = Parameter(Tensor(np.ones(dim, dtype=np.float32)), f"{name}.gain")
+        self.offset = Parameter(Tensor(np.zeros(dim, dtype=np.float32)), f"{name}.offset")
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.gain.tensor, self.offset.tensor)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.offset]
 
 
 def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
@@ -57,25 +51,24 @@ def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
     return mask
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm block: multi-head attention and a 4x-wide gelu MLP, both residual."""
 
-    def __init__(self, dim: int, heads: int, name: str, rng: np.random.Generator,
-                 trainable: bool = True):
+    def __init__(self, dim: int, heads: int, name: str, rng: np.random.Generator):
         if heads < 1:
             raise ConfigError(f"attention needs at least one head, got {heads}")
         if dim % heads != 0:
             raise ConfigError(f"hidden dim {dim} is not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
-        self.ln1 = LayerNorm(dim, f"{name}.ln1", trainable)
-        self.wq = Linear(dim, dim, f"{name}.wq", rng, trainable)
-        self.wk = Linear(dim, dim, f"{name}.wk", rng, trainable)
-        self.wv = Linear(dim, dim, f"{name}.wv", rng, trainable)
-        self.wo = Linear(dim, dim, f"{name}.wo", rng, trainable)
-        self.ln2 = LayerNorm(dim, f"{name}.ln2", trainable)
-        self.fc1 = Linear(dim, 4 * dim, f"{name}.fc1", rng, trainable)
-        self.fc2 = Linear(4 * dim, dim, f"{name}.fc2", rng, trainable)
+        self.ln1 = LayerNorm(dim, f"{name}.ln1")
+        self.wq = Linear(dim, dim, f"{name}.wq", rng)
+        self.wk = Linear(dim, dim, f"{name}.wk", rng)
+        self.wv = Linear(dim, dim, f"{name}.wv", rng)
+        self.wo = Linear(dim, dim, f"{name}.wo", rng)
+        self.ln2 = LayerNorm(dim, f"{name}.ln2")
+        self.fc1 = Linear(dim, 4 * dim, f"{name}.fc1", rng)
+        self.fc2 = Linear(4 * dim, dim, f"{name}.fc2", rng)
 
     def __call__(self, x: Tensor, attn_mask: Optional[np.ndarray] = None,
                  drop: Optional[Callable[[Tensor], Tensor]] = None) -> Tensor:
@@ -89,12 +82,6 @@ class TransformerBlock:
         if drop is not None:
             m = drop(m)
         return ad.add(x, m)
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for part in (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.fc1, self.fc2):
-            out.extend(part.parameters())
-        return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, Parameter, Tape, Tensor
+from .autodiff import Adam, Module, Parameter, Tape, Tensor
 from .backbone import EncoderConfig, FrozenEncoder, encode_item, fingerprint, item_tokens
 from .cache import ITEM_ID_LIMIT, CacheStore, _read_exact, atomic_write
 from .errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
@@ -137,7 +137,7 @@ def seq_param_count(dseq: int, blocks: int, max_seq_len: int) -> int:
     return max_seq_len * dseq + blocks * (12 * dseq * dseq + 13 * dseq) + 2 * dseq
 
 
-class SeqEncoder:
+class SeqEncoder(Module):
     """Causal transformer over item embeddings; the last position is the user state."""
 
     def __init__(self, dim: int = 64, blocks: int = 2, heads: int = 2,
@@ -169,13 +169,6 @@ class SeqEncoder:
         for blk in self.blocks:
             x = blk(x, attn_mask=mask, drop=drop)
         return self.ln_out(x)
-
-    def parameters(self) -> list[Parameter]:
-        out = [self.pos_table]
-        for b in self.blocks:
-            out.extend(b.parameters())
-        out.extend(self.ln_out.parameters())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +274,13 @@ def _layer_tensors(states: np.ndarray) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RecModel:
+class RecModel(Module):
     """`items.item_embed(*provider.batch_states(ids))` embeds item ids, a row each:
     `IisanModel` towers, the only item model a checkpoint stores, or the fft and
     epeft `sanet.PooledItemModel`. `seq` encodes users over those rows."""
 
     items: IisanModel | PooledItemModel
     seq: SeqEncoder
-
-    def parameters(self) -> list[Parameter]:
-        return self.items.parameters() + self.seq.parameters()
 
 
 @dataclass
@@ -580,8 +570,9 @@ def save_rec_checkpoint(path, rec: RecModel, encoder_fingerprints: tuple[int, in
     and image layers u16 each, text, image, bottleneck and dseq widths u32
     each, seq blocks, heads and max_seq_len u16 each. Then the parameter count
     u64, the text and image encoder fingerprints u64 each, every parameter as
-    float32 in declaration order, and an 8-byte blake2b digest of every byte
-    before it. The file appears whole or not at all."""
+    float32 in the order of `Module.parameters`' walk (attribute assignment
+    order), and an 8-byte blake2b digest of every byte before it. The file
+    appears whole or not at all."""
     items, seq, params = rec.items, rec.seq, rec.parameters()
     # packed before the file is opened: a field that does not fit leaves the old file whole
     header = CHECKPOINT_MAGIC + _HEADER.pack(
@@ -642,7 +633,7 @@ def load_rec_checkpoint(path, expected_fingerprints: tuple[int, int]) -> RecMode
             f"(text/image), expected {expected_fingerprints[0]:#x}/{expected_fingerprints[1]:#x}; "
             "retrain, or set the encoders it was trained with")
     flat, offset = np.frombuffer(body, dtype="<f4", offset=_PARAMS_AT), 0
-    for p in rec.parameters():  # declaration order, as saved
+    for p in rec.parameters():  # `Module.parameters`' walk order, as saved
         n = p.data.size
         p.tensor.data = flat[offset:offset + n].reshape(p.data.shape).astype(np.float32)
         offset += n

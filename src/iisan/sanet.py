@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Module, Parameter, Tensor
 from .backbone import FrozenEncoder, forward, item_tokens
 from .errors import ConfigError, ContractError
 from .layers import Linear
@@ -108,7 +108,7 @@ def tower_param_count(text_dim: int, image_dim: int, m: int, bottleneck: int,
     return intra_text + intra_image + inter + dtl + fusion
 
 
-class SanBlock:
+class SanBlock(Module):
     """Bottleneck adapter: x + up(gelu(down(x))). Zero-initialized up makes it the identity."""
 
     def __init__(self, dim: int, bottleneck: int, name: str, rng: np.random.Generator):
@@ -118,16 +118,13 @@ class SanBlock:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(x, self.up(ad.gelu(self.down(x))))
 
-    def parameters(self) -> list[Parameter]:
-        return self.down.parameters() + self.up.parameters()
-
 
 def _check_stack(states: Sequence[Tensor], m: int, who: str) -> None:
     if len(states) != m + 1:
         raise ContractError(f"{who}: expected {m + 1} stack entries (embedding + kept), got {len(states)}")
 
 
-class _Tower:
+class _Tower(Module):
     """m bottleneck blocks plus one raw scalar gate per level from `first_gate` to m;
     raw starts at 0, so each gate starts as an even mix."""
 
@@ -139,13 +136,6 @@ class _Tower:
         self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng) for i in range(1, m + 1)]
         self.gates = {i: Parameter(Tensor(np.zeros((), dtype=np.float32)), f"{name}.gate{i}")
                       for i in range(self.first_gate, m + 1)}
-
-    def parameters(self) -> list[Parameter]:
-        out = []
-        for blk in self.blocks:
-            out.extend(blk.parameters())
-        out.extend(self.gates.values())
-        return out
 
 
 class IntraTower(_Tower):
@@ -180,7 +170,7 @@ class InterTower(_Tower):
         return b
 
 
-class IisanModel:
+class IisanModel(Module):
     """Three towers, optional dimension transform, and the fusion layer, over
     the layer-drop plans `plans_for` derives from the variant, depths and text mode."""
 
@@ -217,22 +207,13 @@ class IisanModel:
         e_inter = self.inter(text_states, image_states, self.dtl)
         return self.fusion(ad.concat([e_image, e_inter, e_text], 1))
 
-    def parameters(self) -> list[Parameter]:
-        out = []
-        out.extend(self.intra_text.parameters())
-        out.extend(self.intra_image.parameters())
-        out.extend(self.inter.parameters())
-        if self.dtl is not None:
-            out.extend(self.dtl.parameters())
-        out.extend(self.fusion.parameters())
-        return out
 
-
-class PooledItemModel:
+class PooledItemModel(Module):
     """The fft and epeft item model, and its own provider: a linear head over both
     encoders' top states at position 0. `batch_states` gives each encoder's
     (items, tokens) token-id matrix, and `item_embed` runs one `forward` per
-    encoder over it, with an adapter after each block when `adapters` is set."""
+    encoder over it, with an adapter after each block when `adapters` is set.
+    Its parameters include the encoders', frozen ones too: `backward` and Adam skip them."""
 
     def __init__(self, text_enc: FrozenEncoder, image_enc: FrozenEncoder, bottleneck: int, dseq: int,
                  adapters: bool, seed: int):
@@ -253,11 +234,6 @@ class PooledItemModel:
             items, tokens, hidden = top.shape
             pooled.append(ad.take_rows(ad.reshape(top, (items * tokens, hidden)), np.arange(items) * tokens))
         return self.head(ad.concat(pooled, 1))
-
-    def parameters(self) -> list[Parameter]:
-        """Encoders (frozen ones too: `backward` and Adam skip them), head and adapters."""
-        out = [p for enc in self.encoders for p in enc.parameters()] + self.head.parameters()
-        return out + [p for side in self.adapters if side for blk in side for p in blk.parameters()]
 
 
 def plans_for(variant: str, text_layers: int, image_layers: int,

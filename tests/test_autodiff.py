@@ -133,6 +133,47 @@ def test_backward_frozen_param_absent():
     np.testing.assert_allclose(grads["w"], [4.0], rtol=1e-6)
 
 
+class _Holder:
+    """Not a Module: the parameter walk does not enter it."""
+
+    def __init__(self, p):
+        self.p = p
+
+
+class _Leaf(ad.Module):
+    def __init__(self, name):
+        self.w = _param([1.0], f"{name}.w")
+
+
+class _Toy(ad.Module):
+    def __init__(self):
+        self.first = _param([0.0], "first")
+        self.width = 3
+        self.label = "toy"
+        self.holder = _Holder(_param([0.0], "held"))
+        self.nested = _Leaf("nested")
+        self.absent = None
+        self.layers = [_Leaf("list0"), _param([0.0], "list1")]
+        self.pair = (_param([0.0], "tuple0"), _Leaf("tuple1"))
+        self.gates = {2: _param([0.0], "dict2"), 1: _Leaf("dict1")}
+        self.last = _param([0.0], "last")
+
+
+def test_module_parameters_walk_attributes_in_assignment_order():
+    """Parameters held directly, by nested Modules and by list, tuple and dict
+    values, in assignment (and insertion) order; None, scalars, strings and a
+    non-Module object holding a Parameter are skipped."""
+    assert [p.name for p in _Toy().parameters()] == [
+        "first", "nested.w", "list0.w", "list1", "tuple0", "tuple1.w", "dict2", "dict1.w", "last"]
+
+
+def test_parameter_trainable_is_its_tensor_flag():
+    p = _param([1.0], "p", trainable=False)
+    assert not p.trainable and not p.tensor.requires_grad
+    p.tensor.requires_grad = True
+    assert p.trainable
+
+
 def test_backward_unreachable_trainable_is_zero():
     w = _param([2.0], "w")
     unused = _param([5.0], "unused")

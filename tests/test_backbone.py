@@ -61,6 +61,11 @@ def test_encoder_parameters_are_frozen_by_default():
     assert all(not p.tensor.requires_grad for p in enc.parameters())
 
 
+def test_encoder_built_trainable_has_every_parameter_trainable():
+    enc = bb.FrozenEncoder(_cfg(), trainable=True)
+    assert all(p.trainable and p.tensor.requires_grad for p in enc.parameters())
+
+
 def test_encode_input_validation():
     enc = bb.FrozenEncoder(_cfg())
     with pytest.raises(InputError):

@@ -327,11 +327,22 @@ def cached_run(tmp_path_factory):
     "train.batch=0", "train.epochs=0", "seq.dim=0", "seq.blocks=0", "seq.max_len=0",
     "san.bottleneck=0", "gen.users=0", "profile.batch=0", "train.dropout=1.0",
     "train.dropout=-0.5", "train.lr=nan", "train.lr=inf", "train.lr=0",
-    "seed=-1", "text.seed=-1", "image.seed=-1", "seq.heads=0", "seq.heads=3"])
+    "seed=-1", "text.seed=-1", "image.seed=-1", "seq.heads=0", "seq.heads=3", "gen.items=0"])
 def test_meaningless_setting_is_config_error(cached_run, capsys, setting):
     capsys.readouterr()
     assert main(["train", "--out", cached_run, *SMALL, "--set", setting]) == 2
     assert _error_line(capsys, "config error:").startswith(f"config error: {setting.split('=')[0]}")
+
+
+def test_out_of_memory_is_input_error(cached_run, capsys, monkeypatch):
+    """A model too large to allocate ends in one error line and exit 3, not a traceback."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.75 TiB for an array with shape (48, 5000000000)")
+
+    monkeypatch.setattr(recsys, "regime_model", too_large)
+    capsys.readouterr()
+    assert main(["train", "--out", cached_run, *SMALL]) == 3
+    _error_line(capsys, "error: out of memory: Unable to allocate")
 
 
 def test_cached_regime_builds_no_encoder(cached_run, capsys, monkeypatch):

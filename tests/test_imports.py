@@ -130,3 +130,23 @@ def test_package_raises_only_the_error_taxonomy():
                 if isinstance(node, ast.ClassDef)}
     assert sorted(f"{name} ({module}:{line})" for module, source in _sources({"iisan"}).items()
                   for name, line in raised_names(source) if name not in taxonomy) == []
+
+
+def classes_defining(source: str, method: str) -> list[tuple[str, int]]:
+    """Each class of a module, nested ones too, that defines `method` in its own body, with its line."""
+    return [(node.name, f.lineno) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == method]
+
+
+def test_method_scanner_finds_each_defining_class():
+    source = ("class Module:\n    def parameters(self): return []\n"
+              "class Layer(Module):\n    parameters = None\n    def forward(self): pass\n"
+              "def build():\n    class Local:\n        def parameters(self): pass\n")
+    assert classes_defining(source, "parameters") == [("Module", 2), ("Local", 8)]
+
+
+def test_only_module_enumerates_parameters():
+    """`autodiff.Module.parameters` walks every model's attributes; a class listing
+    its own would be a second enumeration, one the checkpoint order and freezing miss."""
+    assert [(module, name) for module, source in _sources({"iisan"}).items()
+            for name, _ in classes_defining(source, "parameters")] == [("iisan/autodiff.py", "Module")]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 from collections import Counter
@@ -622,6 +623,24 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
     for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
         assert a.name == b.name
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def _layout_digest(model):
+    """Count and sha256 of a model's ordered (name, shape) list: the order a checkpoint stores it in."""
+    layout = [(p.name, p.data.shape) for p in model.parameters()]
+    return len(layout), hashlib.sha256(repr(layout).encode()).hexdigest()
+
+
+def test_checkpoint_layout_is_pinned():
+    """`Module.parameters` walks attributes in assignment order, and a checkpoint
+    stores weights in that order: reordering an `__init__` changes the file layout."""
+    assert _layout_digest(_va_rec()) == (
+        67, "3b0f3a8a0d2650808c29f1737eb556ddbae200281da0c689d29b6d44fc650397")
+    epeft = recsys.regime_model(recsys.EPEFT_ADAPTER, EncoderConfig("text", 4, 16, 64, 16, seed=3),
+                                EncoderConfig("image", 2, 8, 64, 32, seed=4),
+                                recsys.SanSpec(bottleneck=4, dseq=16), seed=0).items
+    assert _layout_digest(epeft) == (
+        126, "223c4bbd0c362c9e2bf173239b18927271de5a6f5d2911b4bddec80af3479c02")
 
 
 def test_header_that_cannot_be_packed_leaves_the_old_checkpoint(tmp_path):
