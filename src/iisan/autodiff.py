@@ -188,6 +188,11 @@ def _check_pair(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not equal")
 
 
+def _fused(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b), written over a temporary `a` when the result keeps a's dtype."""
+    return op(a, b, out=a if np.can_cast(b.dtype, a.dtype) else None)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x w + b for an (…, n_in) x, an (n_in, n_out) w and a length-n_out b."""
     if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
-    out = Tensor(x.data @ w.data + b.data)
+    out = Tensor(_fused(np.add, x.data @ w.data, b.data))
     n_in, n_out = w.shape
 
     def back(og):
@@ -259,9 +264,15 @@ def gate(raw: Tensor, x: Tensor, y: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """gelu(x) = 0.5 x (1 + tanh(c (x + a x^3))) with c = sqrt(2/pi), a = 0.044715."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    out = Tensor((0.5 * x * (1.0 + t)).astype(a.dtype))
+    t = _GELU_A * x  # c (x + a x x x), then its tanh, in one buffer, in that order
+    t *= x
+    t *= x
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= 1.0 + t
+    out = Tensor(y)
 
     def back(og):
         sech2 = 1.0 - t * t
@@ -272,17 +283,22 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def layernorm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply gain and offset."""
+    """Normalize the last axis to zero mean / unit variance, then apply gain and offset.
+
+    The centered input is formed once and serves both the variance and the
+    normalized value. `np.var` centers with the same mean and averages the
+    squares the same way, so mean and variance keep numpy's bits.
+    """
     h = x.shape[-1] if x.data.ndim else 0
     if gain.shape != (h,) or offset.shape != (h,):
         raise DimensionError(
             f"layernorm: gain {gain.shape} / offset {offset.shape} do not match last axis of {x.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = (x.data - mu) * inv
-    out = Tensor((xhat * gain.data + offset.data).astype(x.dtype))
+    xhat *= inv
+    out = Tensor(_fused(np.add, xhat * gain.data, offset.data).astype(x.dtype, copy=False))
 
     def back(og):
         dgamma = (og * xhat).reshape(-1, h).sum(axis=0)

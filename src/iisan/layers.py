@@ -20,11 +20,12 @@ ATTENTION_MASK_VALUE = -1e9  # finite stand-in for -inf; exp underflows to exact
 
 
 class Linear(Module):
-    """y = x W + b for (…, n_in) x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed."""
+    """y = x W + b for (…, n_in) x. Weight init is N(0, 1/sqrt(n_in)) unless zeroed;
+    with no `rng` every weight is zero, for a model whose weights are loaded next."""
 
-    def __init__(self, n_in: int, n_out: int, name: str, rng: np.random.Generator,
+    def __init__(self, n_in: int, n_out: int, name: str, rng: Optional[np.random.Generator],
                  zero_init: bool = False):
-        if zero_init:
+        if zero_init or rng is None:
             w = np.zeros((n_in, n_out), dtype=np.float32)
         else:
             w = (rng.standard_normal((n_in, n_out)) / math.sqrt(n_in)).astype(np.float32)
@@ -54,7 +55,7 @@ def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
 class TransformerBlock(Module):
     """Pre-norm block: multi-head attention and a 4x-wide gelu MLP, both residual."""
 
-    def __init__(self, dim: int, heads: int, name: str, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, name: str, rng: Optional[np.random.Generator]):
         if heads < 1:
             raise ConfigError(f"attention needs at least one head, got {heads}")
         if dim % heads != 0:
@@ -71,9 +72,17 @@ class TransformerBlock(Module):
         self.fc2 = Linear(4 * dim, dim, f"{name}.fc2", rng)
 
     def __call__(self, x: Tensor, attn_mask: Optional[np.ndarray] = None,
-                 drop: Optional[Callable[[Tensor], Tensor]] = None) -> Tensor:
+                 drop: Optional[Callable[[Tensor], Tensor]] = None,
+                 rows: Optional[np.ndarray] = None) -> Tensor:
+        """The block over (…, s, dim) x; with `rows`, only at those rows of x
+        flattened to (-1, dim), as a (len(rows), dim) result. Attention still
+        runs at every position, whose keys and values later positions read;
+        `wo`, the residuals and the MLP run on the gathered rows alone."""
         h = self.ln1(x)
-        attn = self.wo(ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, attn_mask))
+        attn = ad.attention(self.wq(h), self.wk(h), self.wv(h), self.heads, attn_mask)
+        if rows is not None:
+            attn, x = (ad.take_rows(ad.reshape(t, (-1, self.dim)), rows) for t in (attn, x))
+        attn = self.wo(attn)
         if drop is not None:
             attn = drop(attn)
         x = ad.add(x, attn)

@@ -141,17 +141,24 @@ class SeqEncoder(Module):
     """Causal transformer over item embeddings; the last position is the user state."""
 
     def __init__(self, dim: int = 64, blocks: int = 2, heads: int = 2,
-                 max_seq_len: int = 10, seed: int = 0):
-        rng = np.random.default_rng(seed)
+                 max_seq_len: int = 10, seed: Optional[int] = 0):
+        """Random weights drawn from `seed`; with `seed=None` nothing is drawn and
+        the drawn weights start at zero, for a model whose weights are loaded next."""
+        if blocks < 1:
+            raise ConfigError(f"the sequential encoder needs at least one block, got {blocks}")
+        rng = None if seed is None else np.random.default_rng(seed)
         self.dim = dim
         self.max_seq_len = max_seq_len
-        pos = (rng.standard_normal((max_seq_len, dim)) * 0.02).astype(np.float32)
+        pos = (np.zeros((max_seq_len, dim), dtype=np.float32) if rng is None
+               else (rng.standard_normal((max_seq_len, dim)) * 0.02).astype(np.float32))
         self.pos_table = Parameter(Tensor(pos), "seq.positions")
         self.blocks = [TransformerBlock(dim, heads, f"seq.block{i + 1}", rng) for i in range(blocks)]
         self.ln_out = LayerNorm(dim, "seq.ln_out")
 
-    def states(self, item_embs: Tensor, drop=None) -> Tensor:
-        """Per-position states of (…, s, dim) embedded sequences, causal.
+    def states(self, item_embs: Tensor, drop=None, rows: Optional[np.ndarray] = None) -> Tensor:
+        """Per-position states of (…, s, dim) embedded sequences, causal; with
+        `rows`, only the (len(rows), dim) states at those rows of the positions
+        flattened to (-1, dim), which the top block alone prunes to.
 
         Windows batched along the leading axes are right-padded to a common s:
         a real position never attends to the pads after it.
@@ -166,9 +173,9 @@ class SeqEncoder(Module):
         if drop is not None:
             x = drop(x)
         mask = causal_mask(s, dtype=item_embs.data.dtype)
-        for blk in self.blocks:
+        for blk in self.blocks[:-1]:
             x = blk(x, attn_mask=mask, drop=drop)
-        return self.ln_out(x)
+        return self.ln_out(self.blocks[-1](x, attn_mask=mask, drop=drop, rows=rows))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +213,19 @@ def inbatch_debiased_ce(logits: Tensor, candidates: Sequence[int],
     adjusted = ad.add(logits, Tensor(np.broadcast_to(-np.log(pops).astype(logits.data.dtype), logits.shape)))
 
     col = {item: i for i, item in enumerate(candidates)}
-    pos_cols = np.empty(t, dtype=np.int64)
+    missing = next((pos for pos in positives if pos not in col), None)
+    if missing is not None:
+        raise ContractError(f"inbatch_debiased_ce: positive {missing} not among candidates")
+    pos_cols = np.array([col[pos] for pos in positives], dtype=np.int64)
+    # terms of one user share one set object: its columns are looked up once
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for row, own in enumerate(owned):
+        if id(own) not in groups:
+            groups[id(own)] = ([], [col[item] for item in own if item in col])
+        groups[id(own)][0].append(row)
     allowed = np.ones((t, len(candidates)), dtype=bool)
-    for row, (pos, own) in enumerate(zip(positives, owned)):
-        if pos not in col:
-            raise ContractError(f"inbatch_debiased_ce: positive {pos} not among candidates")
-        pos_cols[row] = col[pos]
-        allowed[row, [col[item] for item in own if item in col]] = False
+    for rows, cols in groups.values():
+        allowed[np.ix_(rows, cols)] = False
     allowed[np.arange(t), pos_cols] = True
     return ad.masked_softmax_ce(adjusted, allowed, pos_cols)
 
@@ -308,14 +321,22 @@ def batch_windows(users: Sequence[int], split: Split, max_seq_len: int) -> dict[
 
 
 def user_states(seq: SeqEncoder, item_matrix: Tensor, col: Mapping[int, int],
-                windows: Sequence[list[int]], drop=None) -> Tensor:
+                windows: Sequence[list[int]], drop=None, last: bool = False) -> Tensor:
     """(windows, L, dim) states of item windows right-padded to the longest, L,
     in one sequence pass; `col` maps items to matrix rows. Pads embed row 0,
-    and no real position reads their states."""
+    and no real position reads their states. With `last`, the (windows, dim)
+    states at each window's last position, the only rows the top block computes."""
     rows = np.zeros((len(windows), max(len(w) for w in windows)), dtype=np.int64)
     for i, w in enumerate(windows):
         rows[i, :len(w)] = [col[v] for v in w]
-    return seq.states(ad.take_rows(item_matrix, rows), drop)
+    embs = ad.take_rows(item_matrix, rows)
+    if not last:
+        return seq.states(embs, drop)
+    read = np.arange(len(windows)) * rows.shape[1] + [len(w) - 1 for w in windows]
+    # a lone row would take numpy's matrix-vector product, which rounds unlike the
+    # full pass's matrix products, so one window reads its row twice
+    states = seq.states(embs, drop, np.resize(read, max(2, len(read))))
+    return states if len(read) > 1 else ad.take_rows(states, [0])
 
 
 def sequence_loss(seq: SeqEncoder, item_matrix: Tensor, candidates: Sequence[int],
@@ -406,7 +427,12 @@ class MetricReport:
         return f"METRICS hr10={self.hr_at_10:.6f} ndcg10={self.ndcg_at_10:.6f} users={self.evaluated_user_count}"
 
 
-EVAL_CHUNK = 32  # users per sequence pass in `evaluate`; keeps eval's peak memory below training's
+# users per sequence pass in `evaluate`, which keeps eval's peak memory below
+# training's. A pass's top block gathers one row per user into a 2-D matrix, whose
+# matrix products round as the full pass's do; `user_states` doubles a lone row.
+# The passes are not rebalanced: OpenBLAS rounds `last @ items.T` differently
+# below some row count (24 rows against a 50-item catalog), so the scores would move.
+EVAL_CHUNK = 32
 CUTOFF = 10  # the k of HR@k and NDCG@k
 _DISCOUNT = np.array([1.0 / math.log2(rank + 1) for rank in range(1, CUTOFF + 1)])  # NDCG gain by rank
 
@@ -432,8 +458,12 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
 
     The user's window is the train prefix plus the validation item, cut to
     the model's own length, `rec.seq.max_seq_len`. Users are scored EVAL_CHUNK
-    at a time, in ascending order. A non-finite score ranks nothing, so it is
-    an InputError naming the first such user.
+    at a time, in ascending order. A user is scored from the state at its
+    window's last position, so in each pass the top sequence block runs its
+    attention at every position, whose keys and values the last one reads,
+    and `wo`, the residuals, the MLP and `ln_out` on one gathered row per
+    user alone: the same bits as the full pass at those rows. A non-finite
+    score ranks nothing, so it is an InputError naming the first such user.
     """
     catalog = list(split.catalog)
     if not catalog:
@@ -450,8 +480,7 @@ def evaluate(rec: RecModel, split: Split, provider) -> MetricReport:
     for start in range(0, len(users), EVAL_CHUNK):
         chunk = users[start:start + EVAL_CHUNK]
         windows = [(split.train[u] + [split.val[u]])[-rec.seq.max_seq_len:] for u in chunk]
-        states = user_states(rec.seq, item_matrix, col, windows).data
-        last = states[np.arange(len(chunk)), [len(w) - 1 for w in windows]]
+        last = user_states(rec.seq, item_matrix, col, windows, last=True).data
         with np.errstate(invalid="ignore", over="ignore"):  # reported below, by user
             scores = last @ item_matrix.data.T
         finite = np.isfinite(scores).all(axis=1)
@@ -504,11 +533,13 @@ class SanSpec:
 def build_rec_model(variant: str, text_layers: int, text_dim: int, image_layers: int,
                     image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
                     dseq: int = 64, seq_blocks: int = 2, seq_heads: int = 2,
-                    max_seq_len: int = 10, seed: int = 0) -> RecModel:
+                    max_seq_len: int = 10, seed: Optional[int] = 0) -> RecModel:
+    """Towers and sequential encoder drawn from `seed` and `seed + 1`; with
+    `seed=None` nothing is drawn, for a model whose weights are loaded next."""
     iisan = IisanModel(variant, text_layers, text_dim, image_layers, image_dim,
                        text_mode=text_mode, bottleneck=bottleneck, dseq=dseq, seed=seed)
     seq = SeqEncoder(dim=dseq, blocks=seq_blocks, heads=seq_heads,
-                     max_seq_len=max_seq_len, seed=seed + 1)
+                     max_seq_len=max_seq_len, seed=None if seed is None else seed + 1)
     return RecModel(iisan, seq)
 
 
@@ -620,7 +651,7 @@ def load_rec_checkpoint(path, expected_fingerprints: tuple[int, int]) -> RecMode
                 raise FormatError(f"checkpoint has {size} bytes, its header implies {end}",
                                   offset=min(size, end))
             rec = build_rec_model(variant, text_layers, text_dim, image_layers, image_dim, text_mode,
-                                  bottleneck, dseq, seq_blocks, seq_heads, max_seq_len)
+                                  bottleneck, dseq, seq_blocks, seq_heads, max_seq_len, seed=None)
         except ConfigError as exc:
             raise FormatError(f"checkpoint header describes no valid model: {exc}", offset=_DIMS_AT) from exc
         f.seek(0)

@@ -111,7 +111,7 @@ def tower_param_count(text_dim: int, image_dim: int, m: int, bottleneck: int,
 class SanBlock(Module):
     """Bottleneck adapter: x + up(gelu(down(x))). Zero-initialized up makes it the identity."""
 
-    def __init__(self, dim: int, bottleneck: int, name: str, rng: np.random.Generator):
+    def __init__(self, dim: int, bottleneck: int, name: str, rng: Optional[np.random.Generator]):
         self.down = Linear(dim, bottleneck, f"{name}.down", rng)
         self.up = Linear(bottleneck, dim, f"{name}.up", rng, zero_init=True)
 
@@ -131,7 +131,7 @@ class _Tower(Module):
     first_gate: int
 
     def __init__(self, dim: int, bottleneck: int, m: int, name: str,
-                 rng: np.random.Generator):
+                 rng: Optional[np.random.Generator]):
         self.m = m
         self.blocks = [SanBlock(dim, bottleneck, f"{name}.block{i}", rng) for i in range(1, m + 1)]
         self.gates = {i: Parameter(Tensor(np.zeros((), dtype=np.float32)), f"{name}.gate{i}")
@@ -176,7 +176,7 @@ class IisanModel(Module):
 
     def __init__(self, variant: str, text_layers: int, text_dim: int, image_layers: int,
                  image_dim: int, text_mode: Optional[str] = None, bottleneck: int = 16,
-                 dseq: int = 64, seed: int = 0):
+                 dseq: int = 64, seed: Optional[int] = 0):
         self.text_plan, self.image_plan = plans_for(variant, text_layers, image_layers, text_mode)
         if variant == VARIANT_SYMMETRIC and text_dim != image_dim:
             raise ConfigError(f"symmetric variant needs equal hidden dims, got {text_dim} and {image_dim}")
@@ -188,7 +188,7 @@ class IisanModel(Module):
         self.dseq = dseq
         m = self.m
 
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)  # None: every Linear starts at zero
         self.intra_text = IntraTower(text_dim, bottleneck, m, "intra_text", rng)
         self.intra_image = IntraTower(image_dim, bottleneck, m, "intra_image", rng)
         self.inter = InterTower(image_dim, bottleneck, m, "inter", rng)

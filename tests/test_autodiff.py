@@ -105,6 +105,92 @@ def test_gelu_gradient_vs_finite_differences():
     assert report.passed, report.per_param
 
 
+# The two-pass kernel bodies the engine had before it fused them: the fused
+# kernels must keep their values and gradients bit for bit.
+
+def _two_pass_linear(x, w, b):
+    out = x @ w + b
+    n_in, n_out = w.shape
+
+    def back(og):
+        rows = og.reshape(-1, n_out)
+        return og @ w.T, x.reshape(-1, n_in).T @ rows, rows.sum(axis=0)
+
+    return out, back
+
+
+def _two_pass_gelu(x):
+    c, a = 0.7978845608028654, 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    out = (0.5 * x * (1.0 + t)).astype(x.dtype)
+
+    def back(og):
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x * x)
+        return (og * d.astype(x.dtype),)
+
+    return out, back
+
+
+def _two_pass_layernorm(x, gain, offset, eps=1e-5):
+    h = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = (x - mu) * inv
+    out = (xhat * gain + offset).astype(x.dtype)
+
+    def back(og):
+        dgamma = (og * xhat).reshape(-1, h).sum(axis=0)
+        dbeta = og.reshape(-1, h).sum(axis=0)
+        dxhat = og * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return dx.astype(x.dtype), dgamma.astype(x.dtype), dbeta.astype(x.dtype)
+
+    return out, back
+
+
+def _kernel_cases(shape, dtype, rng):
+    """(engine op, two-pass body, inputs) of each fused kernel at an (…, h) input shape."""
+    h = shape[-1]
+    x = rng.normal(scale=3.0, size=shape).astype(dtype)
+    x.reshape(-1)[:4] = [0.0, -0.0, 40.0, -40.0]  # tanh saturates; exact zeros
+    w = rng.normal(size=(h, 2 * h)).astype(dtype)
+    b = rng.normal(size=2 * h).astype(dtype)
+    gain, offset = rng.normal(size=h).astype(dtype), rng.normal(size=h).astype(dtype)
+    return [(ad.linear, _two_pass_linear, (x, w, b)), (ad.gelu, _two_pass_gelu, (x,)),
+            (ad.layernorm, _two_pass_layernorm, (x, gain, offset))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(32, 10, 64), (50, 8, 48), (7, 3, 16), (5, 24)])
+def test_fused_kernels_keep_the_two_pass_bits(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    for op, two_pass, arrays in _kernel_cases(shape, dtype, rng):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = op(*inputs)
+        expected, expected_back = two_pass(*arrays)
+        assert out.dtype == expected.dtype and out.data.tobytes() == expected.tobytes(), op.__name__
+        og = rng.normal(size=out.shape).astype(dtype)
+        for g, e in zip(tape.entries[-1].back(og), expected_back(og), strict=True):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), op.__name__
+        for t, a in zip(inputs, arrays):
+            assert t.data.tobytes() == a.tobytes()  # inputs are never written
+
+
+def test_fused_kernels_promote_mixed_dtypes_like_the_two_pass_bodies():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 6)).astype(np.float32)
+    w = rng.normal(size=(6, 3)).astype(np.float32)
+    b, gain, offset = (rng.normal(size=n) for n in (3, 6, 6))  # float64
+    out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.data.tobytes() == _two_pass_linear(x, w, b)[0].tobytes()
+    out = ad.layernorm(Tensor(x), Tensor(gain), Tensor(offset))
+    assert out.data.tobytes() == _two_pass_layernorm(x, gain, offset)[0].tobytes()
+
+
 def test_elementwise_ops_take_equal_shapes_only():
     a = Tensor(np.ones((2, 2), dtype=np.float32))
     s = Tensor(np.asarray(2.0, dtype=np.float32))

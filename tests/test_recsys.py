@@ -16,7 +16,7 @@ from iisan.backbone import EncoderConfig, FrozenEncoder
 from iisan.cache import CacheStore, build_cache
 from iisan.cli import SyntheticSpec, generate_synthetic
 from iisan.costmodel import PROBE_SEQ_LEN, ProbeSetup
-from iisan.errors import ContractError, FormatError, InputError, StalenessError, VersionError
+from iisan.errors import ConfigError, ContractError, FormatError, InputError, StalenessError, VersionError
 from iisan.recsys import (InteractionDataset, TrainConfig, compute_popularity,
                           inbatch_debiased_ce, metrics_from_ranks, popularity_baseline,
                           rank_pessimistic, split_leave_one_out)
@@ -302,6 +302,26 @@ def test_loss_validation():
         inbatch_debiased_ce(Tensor(np.zeros((1, 2), dtype=np.float32)), [0, 1], {0: 0.5, 1: 0.0}, [0], [{0}])
     with pytest.raises(ContractError):
         inbatch_debiased_ce(Tensor(np.zeros((0, 2), dtype=np.float32)), [0, 1], pop, [], [])
+
+
+def test_loss_reads_shared_and_separate_owned_sets_alike():
+    """`sequence_loss` passes one set object per user for each of its terms; the
+    loss and its gradient are those of a separate equal set per term."""
+    rng = np.random.default_rng(12)
+    items = list(range(0, 60, 3))
+    pop = {i: float(rng.uniform(0.1, 0.9)) for i in items}
+    users = [set(rng.choice(items, size=int(rng.integers(1, 8))).tolist()) for _ in range(5)]
+    terms = [int(rng.integers(0, 5)) for _ in range(17)]
+    positives = [int(rng.choice(sorted(users[u]))) for u in terms]
+    data = rng.normal(size=(17, len(items))).astype(np.float32)
+    results = []
+    for owned in ([users[u] for u in terms], [set(users[u]) for u in terms]):
+        logits = Tensor(data.copy(), requires_grad=True)
+        with ad.Tape() as tape:
+            loss = inbatch_debiased_ce(logits, items, pop, positives, owned)
+        (g,) = tape.entries[-1].back(np.ones((), dtype=np.float32))
+        results.append((loss.data.tobytes(), g.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_loss_gradient_vs_finite_differences():
@@ -590,6 +610,64 @@ def test_evaluate_end_to_end_and_no_leakage(tmp_path):
         recsys.evaluate(rec, clipped, provider)
 
 
+def _eval_world(users, seed=11):
+    """A float32 sequential encoder, 40 random item rows and `users` windows of
+    2 to 10 items, which one pass right-pads to the longest."""
+    rng = np.random.default_rng(seed)
+    seq = recsys.SeqEncoder(dim=16, blocks=2, heads=2, max_seq_len=10, seed=4)
+    items = Tensor(rng.normal(size=(40, 16)).astype(np.float32))
+    windows = [[int(v) for v in rng.integers(0, 40, size=int(rng.integers(2, 11)))] for _ in range(users)]
+    return seq, items, {i: i for i in range(40)}, windows
+
+
+@pytest.mark.parametrize("users", [1, 2, 31, 32, 33])
+def test_last_position_states_equal_the_full_pass(users):
+    """The top block run at the read positions alone gives the full pass's
+    states there, bit for bit, pads included; one window reads its row twice."""
+    seq, items, col, windows = _eval_world(users)
+    assert users == 1 or len({len(w) for w in windows}) > 1
+    full = recsys.user_states(seq, items, col, windows).data
+    last = recsys.user_states(seq, items, col, windows, last=True).data
+    assert last.shape == (users, 16)
+    assert last.tobytes() == full[np.arange(users), [len(w) - 1 for w in windows]].tobytes()
+
+
+def test_last_position_states_are_pinned():
+    """sha256 of 33 read-position states, taken from the full pass before the top
+    block was pruned (numpy 2.4, its bundled OpenBLAS, x86-64): a change that
+    moves eval's bits fails here."""
+    seq, items, col, windows = _eval_world(33)
+    last = recsys.user_states(seq, items, col, windows, last=True).data
+    assert hashlib.sha256(last.tobytes()).hexdigest() == \
+        "c4e0ed6a529001dbf5fb11008972dc1f422605b10fb15c9bdcb0653a74eb1f93"
+
+
+def _shape_recorder(layer, shapes):
+    """`layer`, also appending the shape of each input it sees to `shapes`."""
+    def call(x):
+        shapes.append(x.shape)
+        return layer(x)
+    return call
+
+
+def test_eval_top_block_mlp_sees_one_row_per_user(tmp_path):
+    _, split, _, _, _, text_enc, image_enc = _tiny_world(tmp_path, users=40)
+    rec = _tiny_rec()
+    provider = recsys.EncodeStateProvider(text_enc, image_enc, rec.items.text_plan, rec.items.image_plan)
+    seen = {0: [], 1: []}
+    for i, blk in enumerate(rec.seq.blocks):
+        blk.fc1 = _shape_recorder(blk.fc1, seen[i])
+    recsys.evaluate(rec, split, provider)
+    assert len(split.test) == 40 and recsys.EVAL_CHUNK == 32
+    assert seen[1] == [(32, 16), (8, 16)]  # the top block: one row per user of each pass
+    assert [shape[0] for shape in seen[0]] == [32, 8] and all(len(shape) == 3 for shape in seen[0])
+
+
+def test_seq_encoder_needs_a_block():
+    with pytest.raises(ConfigError):
+        recsys.SeqEncoder(dim=8, blocks=0, heads=2, max_seq_len=6)
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 FPS = (0x7E47, 0x1A6E)  # the (text, image) encoder fingerprints the test checkpoints record
@@ -623,6 +701,27 @@ def test_checkpoint_roundtrip_through_disk(tmp_path, build):
     for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
         assert a.name == b.name
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
+    """The loader overwrites every weight, so it builds its model with no generator.
+    numpy's Generator is an immutable type whose methods cannot be patched; the
+    test forbids building one instead."""
+    rec = _va_rec(seed=4)
+    rng = np.random.default_rng(14)
+    for p in rec.parameters():
+        p.tensor.data = rng.normal(size=p.data.shape).astype(np.float32)
+    path = tmp_path / "m.ckpt"
+    recsys.save_rec_checkpoint(path, rec, FPS)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the checkpoint load built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = recsys.load_rec_checkpoint(path, FPS)
+    for a, b in zip(rec.parameters(), loaded.parameters(), strict=True):
+        assert a.name == b.name and a.trainable == b.trainable
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
 
 
 def _layout_digest(model):
