@@ -16,8 +16,15 @@ norm and the elementwise operations treat every axis before the last (for
 attention, before the last two) as a batch axis, so one call serves a
 batch of sequences.
 
-Tape entries reference the live input arrays, so `backward` must run before
-any parameter update mutates them; optimizers step from the returned map.
+Until `backward` runs, tape entries reference the live input arrays, so it
+must run before any parameter update mutates them; optimizers step from the
+returned map. Each op's closure keeps only what the gradients of its inputs
+with `requires_grad` read, and forms no gradient for the others. `backward`
+consumes the tape as it walks it: an entry's closure and inputs, and its
+output's gradient, are released once the entry has run, so a step's memory
+peak is what the forward retained plus the gradients still in flight. The
+consumed tape keeps each entry's output and scope, which profilers read
+after `backward` returns; a second `backward` over it is a ContractError.
 
 A softmax-loss probability below the dtype's smallest normal number
 (`np.finfo(dtype).tiny`, 1.18e-38 for float32) is 0, in the loss and in its
@@ -132,9 +139,14 @@ def _collect(values: Iterable, out: list[Parameter]) -> None:
 
 @dataclass
 class TapeEntry:
+    """One recorded operation. `backward` empties `inputs` and sets `back` to
+    None once it has passed the entry; `out` and `scope` stay until the tape is
+    dropped, for readers of the consumed tape (tape profiles, the probe's
+    backbone check), and `out` staying alive keeps every `id(out)` unique."""
+
     out: Tensor
     inputs: tuple[Tensor, ...]
-    back: Callable[[np.ndarray], Sequence[np.ndarray | None]]
+    back: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None
     scope: str
 
 
@@ -144,6 +156,7 @@ class Tape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
         self.scope = ""  # dotted names of the open `scope` blocks
+        self.consumed = False  # set by `backward`, which releases the closures
 
     def __enter__(self) -> "Tape":
         if _ACTIVE.get() is not None:
@@ -204,9 +217,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
+    ad = a.data if b.requires_grad else None  # each gradient reads the other operand
+    bd = b.data if a.requires_grad else None
 
     def back(og):
-        return og @ b.data.T, a.data.T @ og
+        return None if bd is None else og @ bd.T, None if ad is None else ad.T @ og
 
     return _emit(out, (a, b), back)
 
@@ -217,10 +232,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
     out = Tensor(_fused(np.add, x.data @ w.data, b.data))
     n_in, n_out = w.shape
+    wd = w.data if x.requires_grad else None  # dx reads w, dw reads x, db neither
+    xs = x.data.reshape(-1, n_in) if w.requires_grad else None  # every leading axis is a batch axis
+    need_b = b.requires_grad
 
     def back(og):
-        rows = og.reshape(-1, n_out)  # every leading axis is a batch axis
-        return og @ w.data.T, x.data.reshape(-1, n_in).T @ rows, rows.sum(axis=0)
+        rows = og.reshape(-1, n_out)
+        return (None if wd is None else og @ wd.T, None if xs is None else xs.T @ rows,
+                rows.sum(axis=0) if need_b else None)
 
     return _emit(out, (x, w, b), back)
 
@@ -238,9 +257,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
     out = Tensor(a.data * b.data)
+    ad = a.data if b.requires_grad else None  # each gradient reads the other factor
+    bd = b.data if a.requires_grad else None
 
     def back(og):
-        return og * b.data, og * a.data
+        return None if bd is None else og * bd, None if ad is None else og * ad
 
     return _emit(out, (a, b), back)
 
@@ -253,10 +274,15 @@ def gate(raw: Tensor, x: Tensor, y: Tensor) -> Tensor:
     g = (1.0 / (1.0 + np.exp(-raw.data))).astype(raw.dtype)
     h = raw.dtype.type(1.0) - g
     out = Tensor(x.data * g + y.data * h)
+    xy = (x.data, y.data) if raw.requires_grad else None  # only the gate's gradient reads x and y
+    need_x, need_y = x.requires_grad, y.requires_grad
 
     def back(og):
-        dg = -np.asarray((og * y.data).sum()) + np.asarray((og * x.data).sum())
-        return dg * g * (1.0 - g), og * g, og * h
+        dg = None
+        if xy is not None:
+            dg = -np.asarray((og * xy[1]).sum()) + np.asarray((og * xy[0]).sum())
+            dg = dg * g * (1.0 - g)
+        return dg, og * g if need_x else None, og * h if need_y else None
 
     return _emit(out, (raw, x, y), back)
 
@@ -299,15 +325,22 @@ def layernorm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LAYERNORM_EP
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat *= inv
     out = Tensor(_fused(np.add, xhat * gain.data, offset.data).astype(x.dtype, copy=False))
+    dtype, need_gain, need_offset = x.dtype, gain.requires_grad, offset.requires_grad
+    xh = xhat if x.requires_grad or gain.requires_grad else None  # dx and dgamma read xhat
+    gd, iv = (gain.data, inv) if x.requires_grad else (None, None)
 
     def back(og):
-        dgamma = (og * xhat).reshape(-1, h).sum(axis=0)
-        dbeta = og.reshape(-1, h).sum(axis=0)
-        dxhat = og * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx.astype(x.dtype), dgamma.astype(x.dtype), dbeta.astype(x.dtype)
+        dx = dgamma = dbeta = None
+        if need_gain:
+            dgamma = (og * xh).reshape(-1, h).sum(axis=0).astype(dtype)
+        if need_offset:
+            dbeta = og.reshape(-1, h).sum(axis=0).astype(dtype)
+        if gd is not None:
+            dxhat = og * gd
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+            dx = (iv * (dxhat - m1 - xh * m2)).astype(dtype)
+        return dx, dgamma, dbeta
 
     return _emit(out, (x, gain, offset), back)
 
@@ -386,21 +419,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     d = q.shape[-1] // heads
     c = q.dtype.type(1.0 / math.sqrt(d))
     cols = [np.s_[..., i * d:(i + 1) * d] for i in range(heads)]
-    saved, outs = [], []
-    for col in cols:  # contiguous q_i, k_i^T and v_i per head
-        qh, kt, vh = (np.ascontiguousarray(x) for x in (q.data[col], _mT(k.data[col]), v.data[col]))
+
+    def head(col):
+        """Contiguous q_i, k_i^T and v_i; backward slices them again rather than keep copies."""
+        return (np.ascontiguousarray(x) for x in (q.data[col], _mT(k.data[col]), v.data[col]))
+
+    probs, outs = [], []
+    for col in cols:
+        qh, kt, vh = head(col)
         z = (qh @ kt) * c
         if mask is not None:
             z = z + mask
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         p = (e / e.sum(axis=-1, keepdims=True)).astype(q.dtype)
-        saved.append((qh, kt, vh, p))
+        probs.append(p)
         outs.append(p @ vh)
     out = Tensor(np.concatenate(outs, axis=-1))
 
     def back(og):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for col, (qh, kt, vh, p) in zip(cols, saved):
+        for col, p in zip(cols, probs):
+            qh, kt, vh = head(col)
             oh = np.ascontiguousarray(og[col])
             dp = oh @ _mT(vh)
             dv[col] = _mT(p) @ oh
@@ -470,9 +509,18 @@ def backward(tape: Tape, loss: Tensor, parameters: Iterable[Parameter]) -> dict[
 
     Trainable parameters unreachable from the loss map to zeros; non-trainable
     parameters are absent from the result.
+
+    The walk consumes the tape. An entry's output gradient is complete when the
+    entry is reached, since every consumer of the output was recorded later, so
+    it is dropped once the entry has run, unless a parameter holds that tensor.
+    Each entry passed loses its closure and inputs and keeps `out` and `scope`:
+    `len(tape.entries)`, the scopes and the output bytes read the same after
+    the walk as before it. A consumed tape cannot be walked again.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if tape.consumed:
+        raise ContractError("backward: the tape was consumed by an earlier backward; record the step again")
     params = list(parameters)
     seen: set[str] = set()
     for p in params:
@@ -484,12 +532,17 @@ def backward(tape: Tape, loss: Tensor, parameters: Iterable[Parameter]) -> dict[
     if loss.requires_grad:
         if not any(e.out is loss for e in tape.entries):
             raise ContractError("backward: loss was not produced on this tape")
+        keep = {id(p.tensor) for p in params}
         grads[id(loss)] = np.ones((), dtype=loss.dtype)
+        tape.consumed = True
         for entry in reversed(tape.entries):
-            og = grads.get(id(entry.out))
+            key = id(entry.out)
+            og = grads.get(key) if key in keep else grads.pop(key, None)
+            back, inputs = entry.back, entry.inputs
+            entry.back, entry.inputs = None, ()
             if og is None:
                 continue
-            for tin, g in zip(entry.inputs, entry.back(og)):
+            for tin, g in zip(inputs, back(og)):
                 if g is None or not tin.requires_grad:
                     continue
                 key = id(tin)

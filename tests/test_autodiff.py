@@ -275,6 +275,90 @@ def test_backward_rejects_non_scalar_loss():
         ad.backward(tape, loss, [w])
 
 
+def test_backward_consumes_the_tape():
+    w = _param([3.0], "w")
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(w.tensor, w.tensor))
+    ad.backward(tape, loss, [w])
+    assert all(e.back is None and e.inputs == () for e in tape.entries)
+    with pytest.raises(ContractError, match="consumed"):
+        ad.backward(tape, loss, [w])
+
+
+def test_backward_keeps_the_gradient_of_a_parameter_recorded_as_an_output():
+    w = _param([3.0], "w")
+    with Tape() as tape:
+        h = ad.mul(w.tensor, w.tensor)
+        loss = ad.sum_all(ad.mul(h, h))
+    grads = ad.backward(tape, loss, [w, Parameter(h, "h")])
+    np.testing.assert_allclose(grads["h"], [18.0], rtol=1e-6)  # 2 h
+    np.testing.assert_allclose(grads["w"], [108.0], rtol=1e-6)  # 4 w^3
+
+
+def test_backward_memory_does_not_grow_with_depth():
+    """Backward holds the gradients it returns plus a few activations in flight,
+    not one gradient per recorded output, and leaves every entry's output and
+    scope in place for readers of the consumed tape."""
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(256, 64)).astype(np.float32))
+    params = []
+    for i in range(24):
+        params += [_param(rng.normal(scale=0.125, size=(64, 64)), f"w{i}"), _param(np.zeros(64), f"b{i}")]
+    with Tape() as tape:
+        h = x
+        with ad.scope("chain"):
+            for w, b in zip(params[::2], params[1::2]):
+                h = ad.gelu(ad.linear(h, w.tensor, b.tensor))
+        loss = ad.masked_softmax_ce(h, np.ones((256, 64), dtype=bool), np.zeros(256, dtype=np.int64))
+    recorded = [(e.scope, e.out.data.nbytes) for e in tape.entries]
+    tracemalloc.start()
+    try:
+        grads = ad.backward(tape, loss, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tape.entries) == 49
+    assert [(e.scope, e.out.data.nbytes) for e in tape.entries] == recorded
+    activation = h.data.nbytes
+    # the forward recorded 48 activations; at most 8 are alive at once besides the result
+    assert peak - sum(g.nbytes for g in grads.values()) < 8 * activation
+
+
+def _frozen_cases(dtype, rng):
+    """(op, input arrays) of every op that forms gradients only for inputs that need one."""
+    def arr(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    return [(ad.linear, (arr(5, 3, 8), arr(8, 6), arr(6))),
+            (ad.layernorm, (arr(5, 3, 8), arr(8), arr(8))),
+            (ad.matmul, (arr(5, 8), arr(8, 6))),
+            (ad.mul, (arr(5, 8), arr(5, 8))),
+            (ad.gate, (np.asarray(0.3, dtype=dtype), arr(5, 8), arr(5, 8)))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ops_form_no_gradient_for_frozen_inputs(dtype):
+    """Freezing one input leaves its gradient None and every other input's
+    gradient bit-equal to the one it gets when all inputs train."""
+    rng = np.random.default_rng(5)
+    for op, arrays in _frozen_cases(dtype, rng):
+        og = rng.normal(size=op(*map(Tensor, arrays)).shape).astype(dtype)
+
+        def grads(frozen):
+            inputs = [Tensor(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                op(*inputs)
+            return tape.entries[-1].back(og)
+
+        full = grads(None)
+        for frozen in range(len(arrays)):
+            for i, (g, e) in enumerate(zip(grads(frozen), full, strict=True)):
+                if i == frozen:
+                    assert g is None, (op.__name__, frozen)
+                else:
+                    assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), (op.__name__, frozen, i)
+
+
 def test_gradient_accumulates_for_shared_input():
     # f(x) = x + x  =>  df/dx = 2
     x = _param([1.5], "x")
